@@ -2,7 +2,8 @@
 //! peak, recorded to `BENCH_kernels.json` at the repo root.
 //!
 //! One row per butterfly engine the planner can dispatch to (Stockham,
-//! mixed-radix, four-step, Bluestein) plus the SOI convolution kernel.
+//! mixed-radix, four-step, Bluestein) plus the SOI convolution kernel and
+//! the segment/band (zoom) row kernel.
 //! GFLOPS use the paper's §7.1 nominal conventions from
 //! [`soi_fft::flops`] (`5N·log₂N` per FFT, `8B` real ops per convolution
 //! output point); the peak reference is either `SOI_PEAK_GFLOPS` (set it
@@ -17,7 +18,9 @@
 
 use soi_bench::workload::tone_mix;
 use soi_core::coeff::ConvCoefficients;
-use soi_core::conv::{convolve, convolve_portable, kernel_name};
+use soi_core::conv::{
+    convolve, convolve_portable, kernel_name, zoom_pooled, zoom_portable, ZoomTaps,
+};
 use soi_core::{SoiFft, SoiParams};
 use soi_fft::flops::{conv_flops, fft_flops};
 use soi_fft::Plan;
@@ -280,6 +283,50 @@ fn bench_conv_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
     }
 }
 
+/// The segment/band row kernel on the conv row's geometry: `M'` rows of
+/// `BP` taps, `8·M'·BP` flops, which is exactly the full convolution's
+/// count. The band start is unaligned, so the per-block phase multiply
+/// is included.
+fn bench_zoom_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
+    let n = 1usize << 16;
+    let p = 8;
+    let params = SoiParams::with_preset(n, p, AccuracyPreset::Digits10).expect("params");
+    let soi = SoiFft::new(&params).expect("plan");
+    let cfg = *soi.config();
+    let taps = ZoomTaps::new(soi.shape(), soi.coefficients(), n, cfg.m + 13);
+    let x = tone_mix(n);
+    let flops = conv_flops(cfg.n_prime, cfg.taps());
+    let serial = soi_core::ThreadPool::serial();
+    let mut out = AlignedBuf::<Complex64>::zeroed(cfg.m_prime);
+    g.throughput_elements(cfg.m_prime as u64);
+    let stats = g.bench(&format!("zoom[{}]/{}", kernel_name(), cfg.m_prime), || {
+        zoom_pooled(&taps, &x, &mut out, &serial);
+        black_box(out[0])
+    });
+    rows.push(Row {
+        kernel: format!("zoom[{}]", kernel_name()),
+        n: cfg.m_prime,
+        stats,
+        flops,
+        transforms: 1.0,
+        dispatch: kernel_name().to_string(),
+    });
+    if kernel_name() != "portable" {
+        let stats = g.bench(&format!("zoom[portable]/{}", cfg.m_prime), || {
+            zoom_portable(&taps, &x, &mut out);
+            black_box(out[0])
+        });
+        rows.push(Row {
+            kernel: "zoom[portable]".to_string(),
+            n: cfg.m_prime,
+            stats,
+            flops,
+            transforms: 1.0,
+            dispatch: "portable".to_string(),
+        });
+    }
+}
+
 fn main() {
     let (peak, peak_source) = peak_gflops();
     let mut g = Bencher::new("kernel_report").samples(10);
@@ -288,6 +335,7 @@ fn main() {
     bench_realfft(&mut g, &mut rows);
     bench_chirp(&mut g, &mut rows);
     bench_conv_kernel(&mut g, &mut rows);
+    bench_zoom_kernel(&mut g, &mut rows);
 
     let json_rows: Vec<String> = rows
         .iter()

@@ -42,15 +42,9 @@ use soi_window::family::Window;
 pub struct ConvCoefficients {
     /// Distinct convolution coefficients, laid out `[(r·B + b)·P + s]` for
     /// row-residue `r < μ`, block `b < B`, lane `s < P` (μPB entries).
-    pub coef: Vec<Complex64>,
-    /// Real parts of `coef`, each duplicated in place (`[re_q, re_q]` at
-    /// `2q..2q+2`), same `(r, blk, s)` order. A 4-wide f64 load at `2q`
-    /// yields `[re_q, re_q, re_{q+1}, re_{q+1}]` — exactly the broadcast
-    /// pattern the SIMD convolution kernel needs for a pair of lanes,
-    /// without spending shuffle ports on it in the inner loop.
-    pub coef_re_dup: AlignedBuf<f64>,
-    /// Imaginary parts of `coef`, duplicated the same way.
-    pub coef_im_dup: AlignedBuf<f64>,
+    /// The AVX2 kernels read it as interleaved `[re im re im]` pairs, so
+    /// it is cache-line aligned.
+    pub coef: AlignedBuf<Complex64>,
     /// Demodulation weights `1/ŵ(k)` for `k < M`.
     pub demod: AlignedBuf<Complex64>,
     mu: usize,
@@ -79,19 +73,9 @@ impl ConvCoefficients {
                 }
             }
         }
-        let mut coef_re_dup = AlignedBuf::<f64>::zeroed(2 * coef.len());
-        let mut coef_im_dup = AlignedBuf::<f64>::zeroed(2 * coef.len());
-        for (q, c) in coef.iter().enumerate() {
-            coef_re_dup[2 * q] = c.re;
-            coef_re_dup[2 * q + 1] = c.re;
-            coef_im_dup[2 * q] = c.im;
-            coef_im_dup[2 * q + 1] = c.im;
-        }
         let demod: Vec<Complex64> = (0..cfg.m).map(|k| w_hat(cfg, k as f64).inv()).collect();
         Self {
-            coef,
-            coef_re_dup,
-            coef_im_dup,
+            coef: AlignedBuf::from_slice(&coef),
             demod: AlignedBuf::from_slice(&demod),
             mu,
             b: taps,
@@ -111,11 +95,9 @@ impl ConvCoefficients {
         self.coef.len()
     }
 
-    /// Total table memory in bytes (coefficients, their SIMD split
-    /// copies, and demodulation).
+    /// Total table memory in bytes (coefficients and demodulation).
     pub fn memory_bytes(&self) -> usize {
         (self.coef.len() + self.demod.len()) * std::mem::size_of::<Complex64>()
-            + (self.coef_re_dup.len() + self.coef_im_dup.len()) * std::mem::size_of::<f64>()
     }
 
     /// μ (row residues in the table).

@@ -18,9 +18,14 @@
 //! * [`convolve_naive`] — the textbook 4-deep loop nest in the paper's
 //!   pseudo-code order (lane-strided inner products, no reuse), kept as
 //!   the ablation baseline for the `conv_kernel` bench.
+//!
+//! The segment/band extraction has its own row kernel, [`zoom_pooled`]:
+//! one output per row instead of `P`, each a contiguous `BP`-tap dot
+//! product against taps that carry the shift-theorem phase
+//! ([`ZoomTaps`]), on the same dispatch seam and interleaved tap layout.
 
 use crate::coeff::ConvCoefficients;
-use soi_num::Complex64;
+use soi_num::{AlignedBuf, Complex64};
 use soi_pool::{part_range, SlicePtr, ThreadPool};
 
 /// Parameters the kernels need (a small copy-friendly subset of
@@ -199,15 +204,18 @@ pub fn convolve_portable(
 /// AVX2+FMA inner kernel, selected at runtime by [`convolve`].
 ///
 /// Lanes are processed two complex values per 256-bit register. The
-/// complex multiply-accumulate is split into two plain FMA streams —
-/// `m += t.re·x` and `n += t.im·swap(x)` — with the add/sub
-/// reconciliation `[m₀−n₀, m₁+n₁, …]` deferred to a single `addsub`
-/// after the whole B-tap reduction (legal because addsub distributes
-/// over the sums). The `t.re`/`t.im` broadcasts come for free from the
-/// pre-duplicated streams in [`ConvCoefficients`], so the loop spends
-/// its shuffle port only on `swap(x)`: per tap and lane-pair the cost is
-/// 3 loads + 1 shuffle + 2 FMAs. The same 2-tap × 4-lane jam as the
-/// portable kernel gives eight independent FMA chains.
+/// complex multiply-accumulate is split into two plain FMA streams over
+/// the interleaved taps of [`ConvCoefficients::coef`] — `m += t·x`
+/// collects `[t.re·x.re, t.im·x.im]` and `n += t·swap(x)` collects
+/// `[t.re·x.im, t.im·x.re]` per lane — with the reconciliation
+/// `[Σt.re·x.re − Σt.im·x.im, Σt.re·x.im + Σt.im·x.re]` deferred to one
+/// unpack pair and one `addsub` after the whole B-tap reduction (legal
+/// because both distribute over the sums). The loop spends its shuffle
+/// port only on `swap(x)`: per tap and lane-pair the cost is 2 loads +
+/// 1 shuffle + 2 FMAs, from a 16-byte-per-tap table (18.5 KB at
+/// Digits10, P = 8) that stays in L1 beside a row's input. The same
+/// 2-tap × 4-lane jam as the portable kernel gives eight independent
+/// FMA chains.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::ConvShape;
@@ -224,26 +232,34 @@ mod avx2 {
         soi_fft::simd::enabled()
     }
 
-    /// One lane-pair × one tap: `m += t.re·x`, `n += t.im·swap(x)` for
-    /// two consecutive complex lanes at flat tap offset `ci`.
+    /// Two consecutive complex taps × two complex values at flat offset
+    /// `ci`, both interleaved `[re im re im]`: `m += t·x`,
+    /// `n += t·swap(x)`.
     ///
-    /// SAFETY: caller guarantees avx2+fma and that `ci + 2 ≤ b·p` holds
-    /// for the row slices passed in.
+    /// SAFETY: caller guarantees avx2+fma and that `ci + 2` taps and
+    /// values are readable.
     #[inline(always)]
-    unsafe fn lane_pair(
+    unsafe fn tap_pair(
         m: &mut __m256d,
         n: &mut __m256d,
-        re: *const f64,
-        im: *const f64,
+        taps: *const f64,
         xin: *const Complex64,
         ci: usize,
     ) {
         let x = _mm256_loadu_pd(xin.add(ci) as *const f64);
         let xsw = _mm256_permute_pd(x, 0b0101);
-        let tre = _mm256_loadu_pd(re.add(2 * ci));
-        let tim = _mm256_loadu_pd(im.add(2 * ci));
-        *m = _mm256_fmadd_pd(tre, x, *m);
-        *n = _mm256_fmadd_pd(tim, xsw, *n);
+        let t = _mm256_loadu_pd(taps.add(2 * ci));
+        *m = _mm256_fmadd_pd(t, x, *m);
+        *n = _mm256_fmadd_pd(t, xsw, *n);
+    }
+
+    /// The two complex values a pair of [`tap_pair`] accumulators holds:
+    /// `[m₀−m₁, n₀+n₁, m₂−m₃, n₂+n₃]`.
+    ///
+    /// SAFETY: caller guarantees avx2.
+    #[inline(always)]
+    unsafe fn reconcile(m: __m256d, n: __m256d) -> __m256d {
+        _mm256_addsub_pd(_mm256_unpacklo_pd(m, n), _mm256_unpackhi_pd(m, n))
     }
 
     /// SAFETY: caller checked [`available`] and validated slice extents
@@ -265,8 +281,7 @@ mod avx2 {
                 let k0 = c * nu + r * nu / mu;
                 let out_row = &mut out[j * p..(j + 1) * p];
                 let trow = r * b * p;
-                let re = coeffs.coef_re_dup[2 * trow..2 * (trow + b * p)].as_ptr();
-                let im = coeffs.coef_im_dup[2 * trow..2 * (trow + b * p)].as_ptr();
+                let taps = coeffs.coef[trow..trow + b * p].as_ptr() as *const f64;
                 let xrow = &xext[k0 * p..];
                 let xin = xrow.as_ptr();
                 let mut s = 0;
@@ -278,19 +293,19 @@ mod avx2 {
                     while blk + 2 <= b {
                         let ci = blk * p + s;
                         let cj = ci + p;
-                        lane_pair(&mut m0a, &mut n0a, re, im, xin, ci);
-                        lane_pair(&mut m1a, &mut n1a, re, im, xin, ci + 2);
-                        lane_pair(&mut m0b, &mut n0b, re, im, xin, cj);
-                        lane_pair(&mut m1b, &mut n1b, re, im, xin, cj + 2);
+                        tap_pair(&mut m0a, &mut n0a, taps, xin, ci);
+                        tap_pair(&mut m1a, &mut n1a, taps, xin, ci + 2);
+                        tap_pair(&mut m0b, &mut n0b, taps, xin, cj);
+                        tap_pair(&mut m1b, &mut n1b, taps, xin, cj + 2);
                         blk += 2;
                     }
                     if blk < b {
                         let ci = blk * p + s;
-                        lane_pair(&mut m0a, &mut n0a, re, im, xin, ci);
-                        lane_pair(&mut m1a, &mut n1a, re, im, xin, ci + 2);
+                        tap_pair(&mut m0a, &mut n0a, taps, xin, ci);
+                        tap_pair(&mut m1a, &mut n1a, taps, xin, ci + 2);
                     }
-                    let r0 = _mm256_addsub_pd(_mm256_add_pd(m0a, m0b), _mm256_add_pd(n0a, n0b));
-                    let r1 = _mm256_addsub_pd(_mm256_add_pd(m1a, m1b), _mm256_add_pd(n1a, n1b));
+                    let r0 = reconcile(_mm256_add_pd(m0a, m0b), _mm256_add_pd(n0a, n0b));
+                    let r1 = reconcile(_mm256_add_pd(m1a, m1b), _mm256_add_pd(n1a, n1b));
                     _mm256_storeu_pd(out_row.as_mut_ptr().add(s) as *mut f64, r0);
                     _mm256_storeu_pd(out_row.as_mut_ptr().add(s + 2) as *mut f64, r1);
                     s += 4;
@@ -298,9 +313,9 @@ mod avx2 {
                 while s + 2 <= p {
                     let (mut m0, mut n0) = (zero, zero);
                     for blk in 0..b {
-                        lane_pair(&mut m0, &mut n0, re, im, xin, blk * p + s);
+                        tap_pair(&mut m0, &mut n0, taps, xin, blk * p + s);
                     }
-                    let r0 = _mm256_addsub_pd(m0, n0);
+                    let r0 = reconcile(m0, n0);
                     _mm256_storeu_pd(out_row.as_mut_ptr().add(s) as *mut f64, r0);
                     s += 2;
                 }
@@ -403,6 +418,100 @@ mod avx2 {
                 }
             }
         }
+    }
+
+    /// One zoom row over complex samples: `Σ_t taps[t]·data[t]` with
+    /// interleaved complex taps, [`tap_pair`] and [`reconcile`] as in the
+    /// full kernel. Four tap-pairs per step give eight independent FMA
+    /// chains; an odd trailing tap (odd `BP`) takes the scalar path.
+    ///
+    /// SAFETY: caller guarantees avx2+fma and that `taps` holds
+    /// `2·data.len()` values.
+    #[inline(always)]
+    pub(super) unsafe fn complex_dot(taps: *const f64, data: &[Complex64]) -> Complex64 {
+        let bp = data.len();
+        let xin = data.as_ptr();
+        let zero = _mm256_setzero_pd();
+        let (mut m0, mut n0, mut m1, mut n1) = (zero, zero, zero, zero);
+        let (mut m2, mut n2, mut m3, mut n3) = (zero, zero, zero, zero);
+        let mut t = 0;
+        while t + 8 <= bp {
+            tap_pair(&mut m0, &mut n0, taps, xin, t);
+            tap_pair(&mut m1, &mut n1, taps, xin, t + 2);
+            tap_pair(&mut m2, &mut n2, taps, xin, t + 4);
+            tap_pair(&mut m3, &mut n3, taps, xin, t + 6);
+            t += 8;
+        }
+        while t + 2 <= bp {
+            tap_pair(&mut m0, &mut n0, taps, xin, t);
+            t += 2;
+        }
+        let m = _mm256_add_pd(_mm256_add_pd(m0, m1), _mm256_add_pd(m2, m3));
+        let n = _mm256_add_pd(_mm256_add_pd(n0, n1), _mm256_add_pd(n2, n3));
+        let mut acc = hsum_pairs(reconcile(m, n));
+        if t < bp {
+            let tap = Complex64::new(*taps.add(2 * t), *taps.add(2 * t + 1));
+            acc = tap.mul_add(data[t], acc);
+        }
+        acc
+    }
+
+    /// One zoom row over real samples: `Σ_t taps[t]·data[t]` with
+    /// interleaved complex taps, four samples per [`real_quad`], eight per
+    /// step (four FMA chains); the `BP mod 4` trailing taps go scalar.
+    ///
+    /// SAFETY: caller guarantees avx2+fma and that `taps` holds
+    /// `2·data.len()` values.
+    #[inline(always)]
+    pub(super) unsafe fn real_dot(taps: *const f64, data: &[f64]) -> Complex64 {
+        let bp = data.len();
+        let xin = data.as_ptr();
+        let zero = _mm256_setzero_pd();
+        let (mut a01, mut a23, mut b01, mut b23) = (zero, zero, zero, zero);
+        let mut t = 0;
+        while t + 8 <= bp {
+            real_quad(&mut a01, &mut a23, taps, xin, t);
+            real_quad(&mut b01, &mut b23, taps, xin, t + 4);
+            t += 8;
+        }
+        if t + 4 <= bp {
+            real_quad(&mut a01, &mut a23, taps, xin, t);
+            t += 4;
+        }
+        let r = _mm256_add_pd(_mm256_add_pd(a01, b01), _mm256_add_pd(a23, b23));
+        let mut acc = hsum_pairs(r);
+        while t < bp {
+            let (tr, ti) = (*taps.add(2 * t), *taps.add(2 * t + 1));
+            acc = Complex64::new(acc.re + tr * data[t], acc.im + ti * data[t]);
+            t += 1;
+        }
+        acc
+    }
+
+    /// `[a b c d] → (a + c, b + d)`: the two complex lanes of a register
+    /// summed into one value.
+    ///
+    /// SAFETY: caller guarantees avx2.
+    #[inline(always)]
+    unsafe fn hsum_pairs(r: __m256d) -> Complex64 {
+        let s = _mm_add_pd(_mm256_castpd256_pd128(r), _mm256_extractf128_pd(r, 1));
+        Complex64::new(_mm_cvtsd_f64(s), _mm_cvtsd_f64(_mm_unpackhi_pd(s, s)))
+    }
+
+    /// [`super::zoom_rows`] compiled with AVX2+FMA, so the row dots above
+    /// inline into it.
+    ///
+    /// SAFETY: caller checked [`available`]; the rest as
+    /// [`super::zoom_rows`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn zoom_rows<T: super::Sample>(
+        zt: &super::ZoomTaps,
+        x: &[T],
+        wrap: &[T],
+        j0: usize,
+        out: &mut [Complex64],
+    ) {
+        super::zoom_rows::<T, true>(zt, x, wrap, j0, out)
     }
 }
 
@@ -605,6 +714,306 @@ pub fn convolve_real_pooled(
     });
 }
 
+/// Per-call tables of a zoom extraction: the `M` bins starting at bin
+/// `k0` (a segment is the band at `k0 = s·M`).
+///
+/// By the shift theorem the band is segment 0 of `z_l = x_l·e^{−2πi·k0·l/N}`.
+/// Row `j` of segment 0's convolution reads `BP` consecutive samples
+/// starting on a block boundary, `l = kb·P + t` with `kb = ⌊jν/μ⌋`, so
+/// the phase splits into a tap factor and a block factor:
+///
+/// ```text
+/// e^{−2πi·k0·(kb·P + t)/N} = e^{−2πi·k0·t/N} · e^{−2πi·k0·kb/M}
+/// ```
+///
+/// The tap factor is folded into the `μ·BP` coefficients once per call;
+/// the block factor multiplies each row's dot product. It is exactly 1
+/// when `M | k0`, and otherwise comes from a two-level root table, so no
+/// modulated copy of `x` and no per-sample `sin`/`cos` exist.
+#[derive(Debug)]
+pub struct ZoomTaps {
+    shape: ConvShape,
+    n: usize,
+    /// `c[r, t]·e^{−2πi·k0·t/N}`, laid out `[r·BP + t]` like
+    /// `ConvCoefficients::coef`. Every row kernel reads this one table.
+    taps: AlignedBuf<Complex64>,
+    /// The block factor; `None` when it is exactly 1 (`M | k0`).
+    block: Option<BlockRoots>,
+}
+
+impl ZoomTaps {
+    /// Tables for the band starting at bin `k0 < n` of a length-`n`
+    /// transform with kernel `shape` and coefficient tables `coeffs`.
+    pub fn new(shape: ConvShape, coeffs: &ConvCoefficients, n: usize, k0: usize) -> Self {
+        let bp = shape.b * shape.p;
+        assert!(k0 < n, "band start {k0} out of range (N = {n})");
+        assert_eq!(n % shape.p, 0, "P = {} must divide N = {n}", shape.p);
+        assert_eq!(
+            coeffs.coef.len(),
+            shape.mu * bp,
+            "coefficients do not match the shape"
+        );
+        let tap_phase: Vec<Complex64> = (0..bp)
+            .map(|t| Complex64::root_of_unity(mul_mod(k0, t, n), n))
+            .collect();
+        let mut taps = AlignedBuf::<Complex64>::zeroed(coeffs.coef.len());
+        for (q, c) in coeffs.coef.iter().enumerate() {
+            taps[q] = *c * tap_phase[q % bp];
+        }
+        let m = n / shape.p;
+        Self {
+            shape,
+            n,
+            taps,
+            block: (!k0.is_multiple_of(m)).then(|| BlockRoots::new(m, k0 % m)),
+        }
+    }
+
+    /// Output rows `M' = N·μ/(ν·P)`: the length of the `F_{M'}` input.
+    fn rows(&self) -> usize {
+        self.n / self.shape.p / self.shape.nu * self.shape.mu
+    }
+
+    /// Taps per row, `BP`.
+    fn bp(&self) -> usize {
+        self.shape.b * self.shape.p
+    }
+}
+
+/// `e^{−2πi·q/M}` for `q = step·kb mod M`, as `hi[q >> shift]·lo[q & mask]`
+/// from two tables of about `√M` roots each.
+#[derive(Debug)]
+struct BlockRoots {
+    m: usize,
+    step: usize,
+    shift: u32,
+    lo: Vec<Complex64>,
+    hi: Vec<Complex64>,
+}
+
+impl BlockRoots {
+    fn new(m: usize, step: usize) -> Self {
+        // Smallest power of two whose square covers m.
+        let shift = (usize::BITS - (m - 1).leading_zeros()).div_ceil(2);
+        let lo = (0..1usize << shift)
+            .map(|i| Complex64::root_of_unity(i, m))
+            .collect();
+        let hi = (0..m.div_ceil(1 << shift))
+            .map(|h| Complex64::root_of_unity(h << shift, m))
+            .collect();
+        Self {
+            m,
+            step,
+            shift,
+            lo,
+            hi,
+        }
+    }
+
+    #[inline]
+    fn root(&self, q: usize) -> Complex64 {
+        self.hi[q >> self.shift] * self.lo[q & ((1 << self.shift) - 1)]
+    }
+}
+
+/// `a·b mod m` without overflow.
+fn mul_mod(a: usize, b: usize, m: usize) -> usize {
+    (a as u128 * b as u128 % m as u128) as usize
+}
+
+/// The zoom rows `out[j] = e^{−2πi·k0·kb/M}·Σ_t taps[j mod μ, t]·x[(kb·P + t) mod N]`
+/// for all `M'` rows, ready for `F_{M'}` and the demodulation. Rows are
+/// split across `pool` with [`part_range`]; each row is computed by the
+/// same arithmetic whatever range it falls in, so the output is bitwise
+/// equal for every worker count. Dispatches like [`convolve`] to an
+/// AVX2+FMA row kernel or the portable one ([`kernel_name`]).
+pub fn zoom_pooled<T: Sample>(zt: &ZoomTaps, x: &[T], out: &mut [Complex64], pool: &ThreadPool) {
+    #[cfg(target_arch = "x86_64")]
+    let simd = avx2::available();
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd = false;
+    zoom_with(zt, x, out, pool, simd)
+}
+
+/// [`zoom_pooled`] on one worker with the portable row kernel: the
+/// dispatch-free reference for tests and the kernel-bench ablation.
+pub fn zoom_portable<T: Sample>(zt: &ZoomTaps, x: &[T], out: &mut [Complex64]) {
+    zoom_with(zt, x, out, &ThreadPool::serial(), false)
+}
+
+fn zoom_with<T: Sample>(
+    zt: &ZoomTaps,
+    x: &[T],
+    out: &mut [Complex64],
+    pool: &ThreadPool,
+    simd: bool,
+) {
+    assert_eq!(x.len(), zt.n, "zoom input length");
+    assert_eq!(out.len(), zt.rows(), "zoom output length");
+    // Rows whose window crosses N read this copy of the samples around
+    // the wrap point, so `x` itself is never copied.
+    let n = x.len();
+    let bp = zt.bp();
+    let w0 = n.saturating_sub(bp);
+    let wrap: Vec<T> = (0..2 * bp).map(|i| x[(w0 + i) % n]).collect();
+    let run = |j0: usize, rows: &mut [Complex64]| {
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: `simd` is set only when `avx2::available()` held;
+            // the lengths were asserted above.
+            return unsafe { avx2::zoom_rows(zt, x, &wrap, j0, rows) };
+        }
+        // SAFETY: the portable row kernel needs no CPU feature; the
+        // lengths were asserted above.
+        unsafe { zoom_rows::<T, false>(zt, x, &wrap, j0, rows) }
+    };
+    let total = out.len();
+    let parts = pool.threads().min(total).max(1);
+    if parts == 1 {
+        return run(0, out);
+    }
+    let out_ptr = SlicePtr::new(out);
+    pool.run(parts, |t| {
+        let (j0, jl) = part_range(total, parts, t);
+        // SAFETY: row ranges are disjoint across tasks; the borrow ends
+        // at the `run` barrier.
+        run(j0, unsafe { out_ptr.slice(j0, jl) });
+    });
+}
+
+/// A zoom input sample: [`Complex64`], or real `f64` (two real
+/// multiply-adds per tap instead of four). Complex and real input differ
+/// only in the row dot product; the trait is sealed.
+pub trait Sample: row_dot::RowDot {}
+
+impl Sample for Complex64 {}
+
+impl Sample for f64 {}
+
+mod row_dot {
+    #[cfg(target_arch = "x86_64")]
+    use super::avx2;
+    use super::{banked_dot, ZoomTaps};
+    use soi_num::Complex64;
+
+    pub trait RowDot: Copy + Send + Sync {
+        /// `Σ_t taps[r, t]·data[t]` over the `BP` taps of row residue `r`.
+        ///
+        /// # Safety
+        /// With `SIMD` the caller guarantees AVX2+FMA.
+        unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64;
+    }
+
+    impl RowDot for Complex64 {
+        #[inline(always)]
+        unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64 {
+            let bp = data.len();
+            let taps = &zt.taps[r * bp..(r + 1) * bp];
+            #[cfg(target_arch = "x86_64")]
+            if SIMD {
+                return avx2::complex_dot(taps.as_ptr() as *const f64, data);
+            }
+            banked_dot(taps, data, |t, d, acc| t.mul_add(d, acc))
+        }
+    }
+
+    impl RowDot for f64 {
+        #[inline(always)]
+        unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64 {
+            let bp = data.len();
+            let taps = &zt.taps[r * bp..(r + 1) * bp];
+            #[cfg(target_arch = "x86_64")]
+            if SIMD {
+                return avx2::real_dot(taps.as_ptr() as *const f64, data);
+            }
+            banked_dot(taps, data, |t, d, acc| {
+                Complex64::new(acc.re + t.re * d, acc.im + t.im * d)
+            })
+        }
+    }
+}
+
+/// The portable row dot: four accumulator banks over the taps plus the
+/// `BP mod 4` tail, summed in a fixed order.
+#[inline(always)]
+fn banked_dot<T: Copy>(
+    taps: &[Complex64],
+    data: &[T],
+    fma: impl Fn(Complex64, T, Complex64) -> Complex64,
+) -> Complex64 {
+    let mut acc = [Complex64::ZERO; 4];
+    let (tc, dc) = (taps.chunks_exact(4), data.chunks_exact(4));
+    let mut tail = Complex64::ZERO;
+    for (t, d) in tc.remainder().iter().zip(dc.remainder()) {
+        tail = fma(*t, *d, tail);
+    }
+    for (t, d) in tc.zip(dc) {
+        for i in 0..4 {
+            acc[i] = fma(t[i], d[i], acc[i]);
+        }
+    }
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
+}
+
+/// Zoom rows `j0..j0 + out.len()`. Row `j` reads `BP` samples from block
+/// `kb = ⌊jν/μ⌋` on, straight out of `x`, or out of `wrap` (the `2·BP`
+/// samples from `N − BP` on, circularly) when its window crosses `N`.
+/// Row residue, block and block phase all advance by additions (`ν < μ`,
+/// so `kb` steps by 0 or 1), which keeps each row's arithmetic
+/// independent of where its range starts.
+///
+/// # Safety
+/// As `RowDot::dot`; `x.len() = N`, `wrap` as described, and
+/// `j0 + out.len() ≤ M'`.
+#[inline(always)]
+unsafe fn zoom_rows<T: Sample, const SIMD: bool>(
+    zt: &ZoomTaps,
+    x: &[T],
+    wrap: &[T],
+    j0: usize,
+    out: &mut [Complex64],
+) {
+    let ConvShape { mu, nu, p, .. } = zt.shape;
+    let n = x.len();
+    let bp = zt.bp();
+    let w0 = n.saturating_sub(bp);
+    let (mut r, mut kb, mut frac) = (j0 % mu, j0 * nu / mu, j0 * nu % mu);
+    // (roots, q = k0·kb mod M, e^{−2πi·q/M}) for the current block.
+    let mut phase = zt.block.as_ref().map(|b| {
+        let q = mul_mod(b.step, kb, b.m);
+        (b, q, b.root(q))
+    });
+    for slot in out.iter_mut() {
+        let base = kb * p;
+        let data = if base + bp <= n {
+            &x[base..base + bp]
+        } else {
+            &wrap[base - w0..base - w0 + bp]
+        };
+        let acc = T::dot::<SIMD>(zt, r, data);
+        *slot = match phase {
+            Some((_, _, w)) => acc * w,
+            None => acc,
+        };
+        r += 1;
+        if r == mu {
+            r = 0;
+        }
+        frac += nu;
+        if frac >= mu {
+            frac -= mu;
+            kb += 1;
+            if let Some((b, q, w)) = phase.as_mut() {
+                *q += b.step;
+                if *q >= b.m {
+                    *q -= b.m;
+                }
+                *w = b.root(*q);
+            }
+        }
+    }
+}
+
 /// Naive reference kernel: the paper's pseudo-code loop order
 /// (`loop_a` chunks → `loop_b` μ rows → `loop_c` B blocks → `loop_d`
 /// P elements) evaluated one scalar inner product at a time, lane-major —
@@ -779,19 +1188,6 @@ mod tests {
     }
 
     #[test]
-    fn split_coefficient_streams_mirror_the_complex_table() {
-        let (_, coeffs, _) = setup();
-        assert_eq!(coeffs.coef_re_dup.len(), 2 * coeffs.coef.len());
-        assert_eq!(coeffs.coef_im_dup.len(), 2 * coeffs.coef.len());
-        for (q, c) in coeffs.coef.iter().enumerate() {
-            assert_eq!(coeffs.coef_re_dup[2 * q].to_bits(), c.re.to_bits());
-            assert_eq!(coeffs.coef_re_dup[2 * q + 1].to_bits(), c.re.to_bits());
-            assert_eq!(coeffs.coef_im_dup[2 * q].to_bits(), c.im.to_bits());
-            assert_eq!(coeffs.coef_im_dup[2 * q + 1].to_bits(), c.im.to_bits());
-        }
-    }
-
-    #[test]
     fn pooled_convolve_is_bitwise_equal_to_serial() {
         let (cfg, coeffs, shape) = setup();
         let rows = cfg.m_prime;
@@ -867,6 +1263,45 @@ mod tests {
                 .zip(&pooled)
                 .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
             assert!(same, "workers={workers} drifted from serial");
+        }
+    }
+
+    #[test]
+    fn zoom_dispatched_kernel_matches_portable_reference() {
+        // P = 5 makes BP odd, which reaches the scalar tail of both row
+        // kernels; aligned and unaligned band starts cover both block
+        // phase cases.
+        for (n, p) in [(1usize << 12, 4usize), (10_000, 5)] {
+            let cfg = SoiParams::with_preset(n, p, AccuracyPreset::Digits10)
+                .unwrap()
+                .resolve();
+            let coeffs = ConvCoefficients::new(&cfg);
+            let shape = ConvShape {
+                mu: cfg.mu,
+                nu: cfg.nu,
+                b: cfg.taps(),
+                p,
+            };
+            let x = signal(n);
+            let xr = real_signal(n);
+            for k0 in [0, cfg.m, 777, n - 1] {
+                let zt = ZoomTaps::new(shape, &coeffs, n, k0);
+                let what = format!("N={n} P={p} k0={k0}");
+                assert_zoom_kernels_agree(&zt, &x, &format!("{what} complex"));
+                assert_zoom_kernels_agree(&zt, &xr, &format!("{what} real"));
+            }
+        }
+    }
+
+    fn assert_zoom_kernels_agree<T: Sample>(zt: &ZoomTaps, x: &[T], what: &str) {
+        let mut fast = vec![Complex64::ZERO; zt.rows()];
+        let mut reference = vec![Complex64::ZERO; zt.rows()];
+        zoom_pooled(zt, x, &mut fast, &ThreadPool::serial());
+        zoom_portable(zt, x, &mut reference);
+        let worst = max_abs_diff(&fast, &reference);
+        assert!(worst < 1e-13, "{what}: kernels diverged by {worst:e}");
+        if kernel_name() == "portable" {
+            assert_eq!(worst, 0.0, "{what}: portable dispatch must be exact");
         }
     }
 

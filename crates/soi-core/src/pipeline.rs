@@ -18,14 +18,16 @@
 //! correctness core and the per-node compute kernel.
 
 use crate::coeff::ConvCoefficients;
-use crate::conv::{convolve_pooled, convolve_real_pooled, ConvShape};
+use crate::conv::{
+    convolve_pooled, convolve_real_pooled, zoom_pooled, ConvShape, Sample, ZoomTaps,
+};
 use crate::error::SoiError;
 use crate::params::{SoiConfig, SoiParams};
 use crate::workspace::{SoiRealWorkspace, SoiWorkspace};
 use soi_fft::batch::BatchFft;
 use soi_fft::permute::{stride_permute_pooled, transpose_partial_pooled};
 use soi_fft::plan::{Direction, Plan, Planner};
-use soi_num::Complex64;
+use soi_num::{AlignedBuf, Complex64};
 use soi_pool::{part_range, SlicePtr, ThreadPool};
 use std::sync::Arc;
 
@@ -347,18 +349,7 @@ impl SoiFft {
         s: usize,
         pool: &ThreadPool,
     ) -> Result<Vec<Complex64>, SoiError> {
-        let cfg = &self.cfg;
-        if x.len() != cfg.n {
-            return Err(SoiError::BadInput {
-                expected: cfg.n,
-                got: x.len(),
-            });
-        }
-        assert!(s < cfg.p, "segment {s} out of range (P = {})", cfg.p);
-        let xp = self.modulate_real_ext(x, pool, |l| {
-            Complex64::root_of_unity(s * (l % cfg.p), cfg.p)
-        });
-        Ok(self.zoom_core(&xp, pool))
+        self.zoom(x, self.segment_start(s)?, pool)
     }
 
     /// Compute an arbitrary length-`M` band of a **real** signal's
@@ -374,48 +365,7 @@ impl SoiFft {
         k0: usize,
         pool: &ThreadPool,
     ) -> Result<Vec<Complex64>, SoiError> {
-        let cfg = &self.cfg;
-        if x.len() != cfg.n {
-            return Err(SoiError::BadInput {
-                expected: cfg.n,
-                got: x.len(),
-            });
-        }
-        assert!(k0 < cfg.n, "band start {k0} out of range (N = {})", cfg.n);
-        let xp = self.modulate_real_ext(x, pool, |j| {
-            Complex64::root_of_unity(k0 * j % cfg.n, cfg.n)
-        });
-        Ok(self.zoom_core(&xp, pool))
-    }
-
-    /// Real-input counterpart of [`Self::modulate_ext`]:
-    /// `out[l] = phase(l)·x[l]` (a complex scale of a real sample), then
-    /// the circular halo. Same deterministic chunking.
-    fn modulate_real_ext<F>(&self, x: &[f64], pool: &ThreadPool, phase: F) -> Vec<Complex64>
-    where
-        F: Fn(usize) -> Complex64 + Sync,
-    {
-        let cfg = &self.cfg;
-        let mut out = vec![Complex64::ZERO; cfg.n + cfg.halo_len()];
-        let parts = pool.threads().min(cfg.n).max(1);
-        if parts == 1 {
-            for (l, slot) in out[..cfg.n].iter_mut().enumerate() {
-                *slot = phase(l).scale(x[l]);
-            }
-        } else {
-            let out_ptr = SlicePtr::new(&mut out);
-            pool.run(parts, |t| {
-                let (l0, ll) = part_range(cfg.n, parts, t);
-                // SAFETY: element ranges are disjoint across tasks.
-                let chunk = unsafe { out_ptr.slice(l0, ll) };
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = phase(l0 + i).scale(x[l0 + i]);
-                }
-            });
-        }
-        let (head, halo) = out.split_at_mut(cfg.n);
-        halo.copy_from_slice(&head[..cfg.halo_len()]);
-        out
+        self.zoom(x, k0, pool)
     }
 
     /// Inverse transform: recover `x` from a spectrum `y` such that
@@ -434,48 +384,39 @@ impl SoiFft {
     /// Compute only segment `s` of the spectrum —
     /// `y_k for k ∈ [sM, (s+1)M)` — without touching the other segments.
     ///
-    /// This is the Fig 1 story executed literally: phase-shift the input
-    /// (`Φ_s`, the DFT shift theorem of §5), convolve against the
-    /// *contiguous* `BP`-tap window, take one `M'`-point FFT, demodulate.
-    /// Cost: `O(M'·BP + M' log M')`.
+    /// This is the Fig 1 story: by the DFT shift theorem of §5 the
+    /// segment is segment 0 of the phase-shifted input, which one
+    /// convolution against the *contiguous* `BP`-tap window, one `M'`-point
+    /// FFT and the demodulation extract. It is the band at `k0 = sM`
+    /// ([`Self::transform_band`]), bit for bit. Cost: `O(M'·BP + M' log M')`.
+    ///
+    /// Returns [`SoiError::BadSize`] unless `s < P`.
     pub fn transform_segment(&self, x: &[Complex64], s: usize) -> Result<Vec<Complex64>, SoiError> {
         self.transform_segment_pooled(x, s, &ThreadPool::serial())
     }
 
-    /// [`Self::transform_segment`] executed on a worker pool: the
-    /// modulation and the row convolutions fan out across workers with
-    /// deterministic chunking, so the result is bitwise identical to the
-    /// serial path.
+    /// [`Self::transform_segment`] executed on a worker pool: the row
+    /// convolutions fan out across workers with deterministic chunking,
+    /// so the result is bitwise identical to the serial path.
     pub fn transform_segment_pooled(
         &self,
         x: &[Complex64],
         s: usize,
         pool: &ThreadPool,
     ) -> Result<Vec<Complex64>, SoiError> {
-        let cfg = &self.cfg;
-        if x.len() != cfg.n {
-            return Err(SoiError::BadInput {
-                expected: cfg.n,
-                got: x.len(),
-            });
-        }
-        assert!(s < cfg.p, "segment {s} out of range (P = {})", cfg.p);
-        // Φ_s x: modulation by ω^{s·l}, ω = e^{−2πi/P} (§5).
-        let xp = self.modulate_ext(x, pool, |l| {
-            Complex64::root_of_unity(s * (l % cfg.p), cfg.p)
-        });
-        Ok(self.zoom_core(&xp, pool))
+        self.zoom(x, self.segment_start(s)?, pool)
     }
 
     /// Compute an *arbitrary* length-`M` band of the spectrum:
     /// `y_k for k ∈ [k0, k0+M)`, any `k0 < N` — a "zoom FFT" built from
     /// the same machinery.
     ///
-    /// [`Self::transform_segment`] handles the aligned case `k0 = sM` via
-    /// the shift diagonal `Φ_s` (§5), whose entries are P-periodic. For
-    /// general `k0` the modulation `x_j·e^{−2πi·k0·j/N}` is not periodic,
-    /// but the segment-0 extraction never needed that: it just convolves
-    /// whatever time series it is given. Cost: `O(N + M'·BP + M' log M')`.
+    /// The band is segment 0 of `x_l·e^{−2πi·k0·l/N}`. That phase is
+    /// never applied to `x`: it folds into the taps and a per-block
+    /// factor ([`ZoomTaps`]), so a band costs what a segment costs,
+    /// `O(M'·BP + M' log M')`.
+    ///
+    /// Returns [`SoiError::BadSize`] unless `k0 < N`.
     pub fn transform_band(&self, x: &[Complex64], k0: usize) -> Result<Vec<Complex64>, SoiError> {
         self.transform_band_pooled(x, k0, &ThreadPool::serial())
     }
@@ -488,6 +429,29 @@ impl SoiFft {
         k0: usize,
         pool: &ThreadPool,
     ) -> Result<Vec<Complex64>, SoiError> {
+        self.zoom(x, k0, pool)
+    }
+
+    /// First bin `s·M` of segment `s`, or `BadSize` unless `s < P`.
+    fn segment_start(&self, s: usize) -> Result<usize, SoiError> {
+        if s >= self.cfg.p {
+            return Err(SoiError::BadSize(format!(
+                "segment {s} out of range (P = {})",
+                self.cfg.p
+            )));
+        }
+        Ok(s * self.cfg.m)
+    }
+
+    /// The one segment/band path: the `M'` zoom rows
+    /// ([`zoom_pooled`]), then one `F_{M'}` with the projection and
+    /// demodulation fused into its output pass.
+    fn zoom<T: Sample>(
+        &self,
+        x: &[T],
+        k0: usize,
+        pool: &ThreadPool,
+    ) -> Result<Vec<Complex64>, SoiError> {
         let cfg = &self.cfg;
         if x.len() != cfg.n {
             return Err(SoiError::BadInput {
@@ -495,87 +459,20 @@ impl SoiFft {
                 got: x.len(),
             });
         }
-        assert!(k0 < cfg.n, "band start {k0} out of range (N = {})", cfg.n);
-        // z_j = x_j·e^{−2πi·k0·j/N} shifts bin k0 to bin 0.
-        let xp = self.modulate_ext(x, pool, |j| {
-            Complex64::root_of_unity(k0 * j % cfg.n, cfg.n)
-        });
-        Ok(self.zoom_core(&xp, pool))
-    }
-
-    /// Modulate `x` pointwise by `phase` and append the circular halo:
-    /// `out[l] = x[l]·phase(l)` for `l < N`, then the first `halo_len`
-    /// modulated points again. The pointwise part fans out across the
-    /// pool; every element is written by exactly one pure task.
-    fn modulate_ext<F>(&self, x: &[Complex64], pool: &ThreadPool, phase: F) -> Vec<Complex64>
-    where
-        F: Fn(usize) -> Complex64 + Sync,
-    {
-        let cfg = &self.cfg;
-        let mut out = vec![Complex64::ZERO; cfg.n + cfg.halo_len()];
-        let parts = pool.threads().min(cfg.n).max(1);
-        if parts == 1 {
-            for (l, slot) in out[..cfg.n].iter_mut().enumerate() {
-                *slot = x[l] * phase(l);
-            }
-        } else {
-            let out_ptr = SlicePtr::new(&mut out);
-            pool.run(parts, |t| {
-                let (l0, ll) = part_range(cfg.n, parts, t);
-                // SAFETY: element ranges are disjoint across tasks.
-                let chunk = unsafe { out_ptr.slice(l0, ll) };
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = x[l0 + i] * phase(l0 + i);
-                }
-            });
+        if k0 >= cfg.n {
+            return Err(SoiError::BadSize(format!(
+                "band start {k0} out of range (N = {})",
+                cfg.n
+            )));
         }
-        let (head, halo) = out.split_at_mut(cfg.n);
-        halo.copy_from_slice(&head[..cfg.halo_len()]);
-        out
-    }
-
-    /// Shared tail of the segment/band extraction: row `j` of `C₀` is a
-    /// contiguous `BP`-tap inner product starting at block `k₀(j)` (the
-    /// taps are the coefficient table rows concatenated over blocks),
-    /// then one `F_{M'}` and the projection + demodulation. The row
-    /// convolutions fan out across the pool.
-    fn zoom_core(&self, xp: &[Complex64], pool: &ThreadPool) -> Vec<Complex64> {
-        let cfg = &self.cfg;
-        let shape = self.shape();
-        let bp = shape.b * cfg.p;
-        let row = |j: usize| -> Complex64 {
-            let r = j % cfg.mu;
-            let base = shape.k0(j) * cfg.p;
-            let taps = &self.coeffs.coef[r * bp..(r + 1) * bp];
-            let data = &xp[base..base + bp];
-            let mut acc = Complex64::ZERO;
-            for (t, d) in taps.iter().zip(data) {
-                acc = t.mul_add(*d, acc);
-            }
-            acc
-        };
-        let mut xt = vec![Complex64::ZERO; cfg.m_prime];
-        let parts = pool.threads().min(cfg.m_prime).max(1);
-        if parts == 1 {
-            for (j, slot) in xt.iter_mut().enumerate() {
-                *slot = row(j);
-            }
-        } else {
-            let xt_ptr = SlicePtr::new(&mut xt);
-            pool.run(parts, |t| {
-                let (j0, jl) = part_range(cfg.m_prime, parts, t);
-                // SAFETY: row ranges are disjoint across tasks.
-                let chunk = unsafe { xt_ptr.slice(j0, jl) };
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = row(j0 + i);
-                }
-            });
-        }
-        let mut scratch = soi_num::AlignedBuf::zeroed(self.plan_m.scratch_len());
+        let taps = ZoomTaps::new(self.shape(), &self.coeffs, cfg.n, k0);
+        let mut xt = AlignedBuf::<Complex64>::zeroed(cfg.m_prime);
+        zoom_pooled(&taps, x, &mut xt, pool);
+        let mut scratch = AlignedBuf::<Complex64>::zeroed(self.plan_m.scratch_len());
         let mut out = vec![Complex64::ZERO; cfg.m];
         self.plan_m
             .execute_fused_into(&mut xt, &mut scratch, &mut out, &self.coeffs.demod);
-        out
+        Ok(out)
     }
 }
 
@@ -776,9 +673,132 @@ mod tests {
         let soi = SoiFft::new(&params).unwrap();
         let x = signal(1 << 12);
         let m = soi.config().m;
-        let a = soi.transform_band(&x, 2 * m).unwrap();
-        let b = soi.transform_segment(&x, 2).unwrap();
-        assert!(rel_l2_error(&a, &b) < 1e-12);
+        for s in 0..4 {
+            let a = soi.transform_band(&x, s * m).unwrap();
+            let b = soi.transform_segment(&x, s).unwrap();
+            assert_eq!(bits(&a), bits(&b), "segment {s}");
+        }
+    }
+
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    /// The modulate-then-dot formula the zoom kernel replaced: a
+    /// modulated, haloed copy of `x` (one `sin`/`cos` per sample), a
+    /// scalar `BP`-tap dot product per row, then `F_{M'}` and the
+    /// demodulation.
+    fn zoom_oracle(soi: &SoiFft, x: &[Complex64], k0: usize) -> Vec<Complex64> {
+        let cfg = *soi.config();
+        let shape = soi.shape();
+        let bp = shape.b * cfg.p;
+        let mut xp: Vec<Complex64> = (0..cfg.n)
+            .map(|l| x[l] * Complex64::root_of_unity(k0 * l % cfg.n, cfg.n))
+            .collect();
+        xp.extend_from_within(..cfg.halo_len());
+        let mut xt: Vec<Complex64> = (0..cfg.m_prime)
+            .map(|j| {
+                let r = j % cfg.mu;
+                let base = shape.k0(j) * cfg.p;
+                let taps = &soi.coefficients().coef[r * bp..(r + 1) * bp];
+                taps.iter()
+                    .zip(&xp[base..base + bp])
+                    .fold(Complex64::ZERO, |acc, (t, d)| t.mul_add(*d, acc))
+            })
+            .collect();
+        let mut scratch = vec![Complex64::ZERO; soi.plan_m().scratch_len()];
+        let mut out = vec![Complex64::ZERO; cfg.m];
+        soi.plan_m()
+            .execute_fused_into(&mut xt, &mut scratch, &mut out, &soi.coefficients().demod);
+        out
+    }
+
+    #[test]
+    fn zoom_matches_modulate_then_dot_oracle() {
+        // Every segment and the band starts {0, 1, M−1, M+13, N−BP/2,
+        // N−1}, complex and real input. P = 5 makes BP odd, which reaches
+        // the row kernels' scalar tails. White input puts energy in every
+        // segment, so rel-L2 measures rounding, not leakage.
+        let mut rng = soi_testkit::rng::TestRng::seed_from_u64(0x200A);
+        for (n, p) in [(1 << 12, 4), (1 << 14, 8), (10_000, 5)] {
+            let params = SoiParams::with_preset(n, p, AccuracyPreset::Digits10).unwrap();
+            let soi = SoiFft::new(&params).unwrap();
+            let cfg = *soi.config();
+            let bp = cfg.taps() * p;
+            if p == 5 {
+                assert_eq!(bp % 2, 1, "BP = {bp} should be odd");
+            }
+            let x = rng.complex_vec(n);
+            let xr = rng.f64_vec(n, -1.0..1.0);
+            let xrc: Vec<Complex64> = xr.iter().map(|&v| Complex64::new(v, 0.0)).collect();
+            let check = |got: Vec<Complex64>, want: Vec<Complex64>, what: String| {
+                let err = rel_l2_error(&got, &want);
+                assert!(err <= 1e-13, "N={n} P={p} {what}: rel-L2 {err:e}");
+            };
+            for s in 0..p {
+                let k0 = s * cfg.m;
+                check(
+                    soi.transform_segment(&x, s).unwrap(),
+                    zoom_oracle(&soi, &x, k0),
+                    format!("segment {s}"),
+                );
+                check(
+                    soi.transform_real_segment(&xr, s).unwrap(),
+                    zoom_oracle(&soi, &xrc, k0),
+                    format!("real segment {s}"),
+                );
+            }
+            for k0 in [0, 1, cfg.m - 1, cfg.m + 13, n - bp / 2, n - 1] {
+                check(
+                    soi.transform_band(&x, k0).unwrap(),
+                    zoom_oracle(&soi, &x, k0),
+                    format!("band {k0}"),
+                );
+                check(
+                    soi.transform_real_band(&xr, k0).unwrap(),
+                    zoom_oracle(&soi, &xrc, k0),
+                    format!("real band {k0}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn segment_and_band_reject_out_of_range_arguments() {
+        let params = SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap();
+        let soi = SoiFft::new(&params).unwrap();
+        let (n, p) = (1 << 12, 4);
+        let x = signal(n);
+        let xr = real_signal(n);
+        let pool = ThreadPool::new(2);
+        for (s, k0) in [(p, n), (usize::MAX, usize::MAX)] {
+            let results = [
+                ("segment", soi.transform_segment(&x, s)),
+                ("segment_pooled", soi.transform_segment_pooled(&x, s, &pool)),
+                ("real_segment", soi.transform_real_segment(&xr, s)),
+                (
+                    "real_segment_pooled",
+                    soi.transform_real_segment_pooled(&xr, s, &pool),
+                ),
+                ("band", soi.transform_band(&x, k0)),
+                ("band_pooled", soi.transform_band_pooled(&x, k0, &pool)),
+                ("real_band", soi.transform_real_band(&xr, k0)),
+                (
+                    "real_band_pooled",
+                    soi.transform_real_band_pooled(&xr, k0, &pool),
+                ),
+            ];
+            for (what, r) in results {
+                assert!(
+                    matches!(&r, Err(SoiError::BadSize(msg)) if msg.contains("out of range")),
+                    "{what}({s}, {k0}): {r:?}"
+                );
+            }
+        }
+        assert!(matches!(
+            soi.transform_band(&x[..100], 0),
+            Err(SoiError::BadInput { expected, got: 100 }) if expected == n
+        ));
     }
 
     #[test]
@@ -1036,10 +1056,10 @@ mod tests {
             let mirror = y[cfg.n - ((cfg.p - 1) * cfg.m + i)].conj();
             assert!((seg[i] - mirror).abs() < bound, "mirror bin {i}");
         }
-        // Band at an aligned offset equals the segment API.
+        // Band at an aligned offset is the segment API, bit for bit.
         let band = soi.transform_real_band(&x, cfg.m).unwrap();
         let seg1 = soi.transform_real_segment(&x, 1).unwrap();
-        assert!(rel_l2_error(&band, &seg1) < 1e-12);
+        assert_eq!(bits(&band), bits(&seg1));
     }
 
     #[test]

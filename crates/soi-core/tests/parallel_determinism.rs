@@ -59,16 +59,41 @@ fn segment_and_band_pooled_match_serial_bitwise() {
     let soi = SoiFft::new(&params).unwrap();
     let n = 1 << 12;
     let x = signal(n, 42);
-    let pool = soi_core::ThreadPool::new(4);
-    for s in 0..4 {
-        let serial = soi.transform_segment(&x, s).unwrap();
-        let pooled = soi.transform_segment_pooled(&x, s, &pool).unwrap();
-        assert_eq!(bits(&serial), bits(&pooled), "segment {s}");
-    }
-    for k0 in [0usize, 777, n - 100] {
-        let serial = soi.transform_band(&x, k0).unwrap();
-        let pooled = soi.transform_band_pooled(&x, k0, &pool).unwrap();
-        assert_eq!(bits(&serial), bits(&pooled), "band k0={k0}");
+    let xr: Vec<f64> = signal(n, 43).iter().map(|c| c.re).collect();
+    for workers in [2usize, 3, 4, 7] {
+        let pool = soi_core::ThreadPool::new(workers);
+        for s in 0..4 {
+            let serial = soi.transform_segment(&x, s).unwrap();
+            let pooled = soi.transform_segment_pooled(&x, s, &pool).unwrap();
+            assert_eq!(
+                bits(&serial),
+                bits(&pooled),
+                "segment {s}, {workers} workers"
+            );
+            let serial = soi.transform_real_segment(&xr, s).unwrap();
+            let pooled = soi.transform_real_segment_pooled(&xr, s, &pool).unwrap();
+            assert_eq!(
+                bits(&serial),
+                bits(&pooled),
+                "real segment {s}, {workers} workers"
+            );
+        }
+        for k0 in [0usize, 777, n - 100] {
+            let serial = soi.transform_band(&x, k0).unwrap();
+            let pooled = soi.transform_band_pooled(&x, k0, &pool).unwrap();
+            assert_eq!(
+                bits(&serial),
+                bits(&pooled),
+                "band k0={k0}, {workers} workers"
+            );
+            let serial = soi.transform_real_band(&xr, k0).unwrap();
+            let pooled = soi.transform_real_band_pooled(&xr, k0, &pool).unwrap();
+            assert_eq!(
+                bits(&serial),
+                bits(&pooled),
+                "real band k0={k0}, {workers} workers"
+            );
+        }
     }
 }
 

@@ -19,12 +19,11 @@
 //! flavors:
 //!
 //! * **split/dup streams** (`re_dup`/`im_dup`: every factor duplicated
-//!   `×2` into separate real and imaginary `f64` streams, the conv
-//!   kernel's `coef_re_dup` idiom) where the twiddle *varies along* the
-//!   vectorized axis — the mixed-radix `k` loops and the Stockham first
-//!   stage. A 256-bit load then directly yields `[w_k.re, w_k.re,
-//!   w_{k+1}.re, w_{k+1}.re]`, ready for the multiply, with no shuffle in
-//!   the inner loop.
+//!   `×2` into separate real and imaginary `f64` streams) where the
+//!   twiddle *varies along* the vectorized axis — the mixed-radix `k`
+//!   loops and the Stockham first stage. A 256-bit load then directly
+//!   yields `[w_k.re, w_k.re, w_{k+1}.re, w_{k+1}.re]`, ready for the
+//!   multiply, with no shuffle in the inner loop.
 //! * **broadcast** (`_mm256_set1_pd`) where one twiddle covers the whole
 //!   vectorized axis — the Stockham `q` loops, hoisted out per `p`.
 //! * **in-register dup** (`movedup`/`permute_pd`) where the twiddle table

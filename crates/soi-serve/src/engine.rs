@@ -62,11 +62,7 @@ impl Engine {
 
     /// Execute one request, returning the requested bins as a borrow of
     /// the engine's reused output buffer (valid until the next call).
-    ///
-    /// Range validation (`arg < P` for segments, `arg < N` for bands)
-    /// must happen *before* this is called — the underlying pooled
-    /// entry points assert on out-of-range args rather than returning an
-    /// error.
+    /// An out-of-range segment or band start is a `SoiError::BadSize`.
     pub fn execute(&mut self, req: &Request) -> Result<&[Complex64], SoiError> {
         match (&req.kind, &req.samples) {
             (RequestKind::Full, Samples::Complex(x)) => {
@@ -214,6 +210,40 @@ mod tests {
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
+        }
+    }
+
+    #[test]
+    fn engine_rejects_out_of_range_segment_and_band_with_typed_errors() {
+        let (n, p) = (1024, 4);
+        let mut engine = Engine::build(n, p, 10, pool()).unwrap();
+        for (kind, arg) in [
+            (RequestKind::Segment, p),
+            (RequestKind::Band, n),
+            (RequestKind::RealSegment, p),
+            (RequestKind::RealBand, n),
+        ] {
+            let samples = if kind.is_real() {
+                Samples::Real(vec![0.5; n])
+            } else {
+                Samples::Complex(vec![c64(0.5, -0.25); n])
+            };
+            let req = Request {
+                id: 1,
+                tenant: String::new(),
+                n,
+                p,
+                digits: 10,
+                kind,
+                arg,
+                deadline_ms: 0,
+                samples,
+            };
+            assert!(
+                matches!(engine.execute(&req), Err(SoiError::BadSize(_))),
+                "{} arg {arg}",
+                kind.name()
+            );
         }
     }
 

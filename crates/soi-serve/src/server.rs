@@ -228,9 +228,9 @@ fn accept_loop(listener: ServiceListener, shared: Arc<Shared>, token: ShutdownTo
     }
 }
 
-/// Semantic validation: everything the pipeline would either reject
-/// deeper (wrapped in less useful errors) or `assert!` on (segment/band
-/// range). Returns the reject message on failure.
+/// Semantic validation: everything the pipeline would reject deeper,
+/// checked before the request is queued, so it never reaches the
+/// executor. Returns the reject message on failure.
 fn validate(req: &Request) -> Result<(), String> {
     if req.n == 0 || req.p == 0 {
         return Err(format!("N = {} and P = {} must be positive", req.n, req.p));
