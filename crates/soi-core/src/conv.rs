@@ -518,7 +518,8 @@ mod avx2 {
 /// Row-parallel [`convolve`] on a [`ThreadPool`]: the μ-row coefficient
 /// chunks are split into balanced contiguous ranges, one per worker, and
 /// each range runs the untouched register-tiled kernel rank-relative
-/// (input offset `c₀·ν·P`, exactly like the per-rank call in `soi-dist`).
+/// (input offset `c₀·ν·P`, exactly like a block of the front end in
+/// [`crate::front`]).
 /// Chunk boundaries sit at μ-row granularity, so per-row arithmetic is
 /// identical to serial and the output is bitwise equal for every worker
 /// count.
@@ -677,41 +678,6 @@ pub fn convolve_real_portable(
             }
         }
     }
-}
-
-/// Row-parallel [`convolve_real`] on a [`ThreadPool`]; same deterministic
-/// μ-chunk partitioning as [`convolve_pooled`], so the output is bitwise
-/// equal for every worker count.
-pub fn convolve_real_pooled(
-    shape: ConvShape,
-    coeffs: &ConvCoefficients,
-    xext: &[f64],
-    out: &mut [Complex64],
-    pool: &ThreadPool,
-) {
-    let ConvShape { mu, nu, p, .. } = shape;
-    let rows = out.len() / p;
-    assert_eq!(out.len(), rows * p, "out must be whole rows");
-    assert!(rows % mu == 0, "rows {rows} must be a multiple of mu {mu}");
-    assert!(
-        xext.len() >= shape.required_input(rows),
-        "xext too short: {} < {}",
-        xext.len(),
-        shape.required_input(rows)
-    );
-    let chunks = rows / mu;
-    let parts = pool.threads().min(chunks).max(1);
-    if parts == 1 {
-        return convolve_real(shape, coeffs, xext, out);
-    }
-    let out_ptr = SlicePtr::new(out);
-    pool.run(parts, |t| {
-        let (c0, cl) = part_range(chunks, parts, t);
-        // SAFETY: chunk row-ranges are disjoint across tasks; the borrow
-        // ends at the `run` barrier.
-        let sub = unsafe { out_ptr.slice(c0 * mu * p, cl * mu * p) };
-        convolve_real(shape, coeffs, &xext[c0 * nu * p..], sub);
-    });
 }
 
 /// Per-call tables of a zoom extraction: the `M` bins starting at bin
@@ -881,9 +847,10 @@ fn zoom_with<T: Sample>(
     });
 }
 
-/// A zoom input sample: [`Complex64`], or real `f64` (two real
-/// multiply-adds per tap instead of four). Complex and real input differ
-/// only in the row dot product; the trait is sealed.
+/// An input sample: [`Complex64`], or real `f64` (two real multiply-adds
+/// per tap instead of four). Complex and real input differ only in the
+/// kernels: the block convolution ([`convolve`] or [`convolve_real`]) and
+/// the zoom row dot product. The trait is sealed.
 pub trait Sample: row_dot::RowDot {}
 
 impl Sample for Complex64 {}
@@ -893,10 +860,20 @@ impl Sample for f64 {}
 mod row_dot {
     #[cfg(target_arch = "x86_64")]
     use super::avx2;
-    use super::{banked_dot, ZoomTaps};
+    use super::{banked_dot, ConvShape, ZoomTaps};
+    use crate::coeff::ConvCoefficients;
     use soi_num::Complex64;
 
-    pub trait RowDot: Copy + Send + Sync {
+    pub trait RowDot: Copy + Default + Send + Sync {
+        /// The block convolution over this sample type: `out` (whole
+        /// μ-row chunks) from `xext`.
+        fn convolve(
+            shape: ConvShape,
+            coeffs: &ConvCoefficients,
+            xext: &[Self],
+            out: &mut [Complex64],
+        );
+
         /// `Σ_t taps[r, t]·data[t]` over the `BP` taps of row residue `r`.
         ///
         /// # Safety
@@ -905,6 +882,15 @@ mod row_dot {
     }
 
     impl RowDot for Complex64 {
+        fn convolve(
+            shape: ConvShape,
+            coeffs: &ConvCoefficients,
+            xext: &[Self],
+            out: &mut [Complex64],
+        ) {
+            super::convolve(shape, coeffs, xext, out)
+        }
+
         #[inline(always)]
         unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64 {
             let bp = data.len();
@@ -918,6 +904,15 @@ mod row_dot {
     }
 
     impl RowDot for f64 {
+        fn convolve(
+            shape: ConvShape,
+            coeffs: &ConvCoefficients,
+            xext: &[Self],
+            out: &mut [Complex64],
+        ) {
+            super::convolve_real(shape, coeffs, xext, out)
+        }
+
         #[inline(always)]
         unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64 {
             let bp = data.len();
@@ -1244,25 +1239,6 @@ mod tests {
         assert!(worst < 1e-13, "real kernels diverged by {worst:e}");
         if kernel_name() == "portable" {
             assert_eq!(worst, 0.0, "portable dispatch must be exact");
-        }
-    }
-
-    #[test]
-    fn pooled_real_convolve_is_bitwise_equal_to_serial() {
-        let (cfg, coeffs, shape) = setup();
-        let rows = cfg.m_prime;
-        let xext = real_signal(shape.required_input(rows));
-        let mut serial = vec![Complex64::ZERO; rows * cfg.p];
-        convolve_real(shape, &coeffs, &xext, &mut serial);
-        for workers in [1usize, 2, 4, 7] {
-            let pool = ThreadPool::new(workers);
-            let mut pooled = vec![Complex64::ZERO; rows * cfg.p];
-            convolve_real_pooled(shape, &coeffs, &xext, &mut pooled, &pool);
-            let same = serial
-                .iter()
-                .zip(&pooled)
-                .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
-            assert!(same, "workers={workers} drifted from serial");
         }
     }
 

@@ -13,6 +13,8 @@
 //!   the demodulation weights `1/ŵ(k)`, with direct-definition oracles.
 //! * [`conv`] — the optimized convolution kernel `W·x` plus the naive
 //!   pseudo-code version kept for the §6b ablation bench.
+//! * [`front`] — the front end `P_perm·(I ⊗ F_P)·W·x`, run block by
+//!   block in L2 for the full transforms and every rank of `soi-dist`.
 //! * [`pipeline`] — [`SoiFft`]: the full transform and the
 //!   single-segment API (the Fig 1 narrative, runnable).
 //! * [`theorem`] — Theorem 1's operators (Samp/Peri/modulate/convolve) as
@@ -27,6 +29,7 @@ pub mod conv;
 pub mod errmodel;
 pub mod error;
 pub mod exact;
+pub mod front;
 pub mod opcount;
 pub mod params;
 pub mod pipeline;

@@ -13,19 +13,20 @@
 //!    all-to-all; here: a transpose);
 //! 4. per segment: `F_{M'}`, project to the first `M` bins, demodulate.
 //!
+//! Stages 1–3 run block by block in L2 as one front end
+//! ([`crate::front`]), so neither an extended copy of `x` nor the `N'`
+//! convolution output is ever materialized.
+//!
 //! The distributed version in `soi-dist` runs the same four stages with
 //! stage 3 as the one global exchange; this single-process form is the
 //! correctness core and the per-node compute kernel.
 
 use crate::coeff::ConvCoefficients;
-use crate::conv::{
-    convolve_pooled, convolve_real_pooled, zoom_pooled, ConvShape, Sample, ZoomTaps,
-};
+use crate::conv::{zoom_pooled, ConvShape, Sample, ZoomTaps};
 use crate::error::SoiError;
 use crate::params::{SoiConfig, SoiParams};
 use crate::workspace::{SoiRealWorkspace, SoiWorkspace};
 use soi_fft::batch::BatchFft;
-use soi_fft::permute::{stride_permute_pooled, transpose_partial_pooled};
 use soi_fft::plan::{Direction, Plan, Planner};
 use soi_num::{AlignedBuf, Complex64};
 use soi_pool::{part_range, SlicePtr, ThreadPool};
@@ -134,71 +135,73 @@ impl SoiFft {
         ws.check(self)?;
         let SoiWorkspace {
             pool,
-            xext,
-            v,
             seg,
+            front,
             scratch,
             stride,
             trace,
             ..
         } = ws;
-        let pool: &ThreadPool = pool;
-        let trace: &soi_trace::Trace = trace;
-        // Stage 1: convolution over x extended with the circular halo.
-        trace.span_begin("halo", None);
-        xext[..cfg.n].copy_from_slice(x);
-        let (head, halo) = xext.split_at_mut(cfg.n);
-        halo.copy_from_slice(&head[..cfg.halo_len()]);
-        trace.span_end("halo", None);
-        trace.span_begin("conv", None);
-        convolve_pooled(self.shape(), &self.coeffs, xext, v, pool);
-        trace.span_end("conv", None);
-        // Stage 2: M' independent F_P over the contiguous groups.
-        trace.span_begin("fft_p", None);
-        self.batch_p.execute_pooled(v, pool, scratch);
-        trace.span_end("fft_p", None);
-        // Stage 3: stride permutation — group-major (j,s) → segment-major
-        // (s,j). In the distributed algorithm this is the all-to-all.
-        trace.span_begin("pack", None);
-        stride_permute_pooled(v, seg, cfg.m_prime, pool);
-        trace.span_end("pack", None);
+        // Stages 1–3, block by block: convolution, M' independent F_P,
+        // and the stride permutation group-major (j,s) → segment-major
+        // (s,j). In the distributed algorithm stage 3 is the all-to-all.
+        let block = self.front_block_chunks();
+        let halo = &x[..cfg.halo_len()];
+        self.front_end_with(x, halo, seg, cfg.p, front, block, pool, trace);
         trace.span_begin("fft_m", None);
-        // Stage 4: per segment, F_{M'} with the projection + Ŵ⁻¹
-        // demodulation fused into the FFT's final output pass
-        // (`execute_fused_into` — bitwise identical to transform-then-
-        // multiply, but skips one full sweep over the M' points per
-        // segment). Segments are independent, so fan them across the
-        // pool, one scratch stripe per worker.
-        let parts = pool.threads().min(cfg.p).max(1);
-        let scr_len = self.plan_m.scratch_len();
-        if parts == 1 {
-            for s in 0..cfg.p {
-                let row = &mut seg[s * cfg.m_prime..(s + 1) * cfg.m_prime];
-                let out = &mut y[s * cfg.m..(s + 1) * cfg.m];
-                self.plan_m
-                    .execute_fused_into(row, &mut scratch[..scr_len], out, &self.coeffs.demod);
-            }
-        } else {
-            let seg_ptr = SlicePtr::new(seg);
-            let y_ptr = SlicePtr::new(y);
-            let scr_ptr = SlicePtr::new(scratch);
-            let stride = *stride;
-            pool.run(parts, |t| {
-                let (s0, sl) = part_range(cfg.p, parts, t);
-                // SAFETY: segment ranges are disjoint across tasks, each
-                // task owns scratch stripe `t`, and all borrows end at the
-                // `run` barrier.
-                let scr = unsafe { scr_ptr.slice(t * stride, scr_len) };
-                for s in s0..s0 + sl {
-                    let row = unsafe { seg_ptr.slice(s * cfg.m_prime, cfg.m_prime) };
-                    let out = unsafe { y_ptr.slice(s * cfg.m, cfg.m) };
-                    self.plan_m
-                        .execute_fused_into(row, scr, out, &self.coeffs.demod);
-                }
-            });
-        }
+        self.segments_into(seg, y, cfg.p, pool, scratch, *stride);
         trace.span_end("fft_m", None);
         Ok(())
+    }
+
+    /// Stage 4 over the first `count` segments of `seg`: per segment,
+    /// `F_{M'}` with the projection + Ŵ⁻¹ demodulation fused into the
+    /// FFT's final output pass (`execute_fused_into` — bitwise identical
+    /// to transform-then-multiply, but skips one full sweep over the `M'`
+    /// points per segment), written to `y[s·M..(s+1)·M]`. Segments are
+    /// independent, so they fan across the pool, one scratch stripe of
+    /// `stride` per worker.
+    fn segments_into(
+        &self,
+        seg: &mut [Complex64],
+        y: &mut [Complex64],
+        count: usize,
+        pool: &ThreadPool,
+        scratch: &mut [Complex64],
+        stride: usize,
+    ) {
+        let cfg = &self.cfg;
+        let parts = pool.threads().min(count).max(1);
+        let scr_len = self.plan_m.scratch_len();
+        if parts == 1 {
+            for s in 0..count {
+                let row = &mut seg[s * cfg.m_prime..(s + 1) * cfg.m_prime];
+                let out = &mut y[s * cfg.m..(s + 1) * cfg.m];
+                self.plan_m.execute_fused_into(
+                    row,
+                    &mut scratch[..scr_len],
+                    out,
+                    &self.coeffs.demod,
+                );
+            }
+            return;
+        }
+        let seg_ptr = SlicePtr::new(seg);
+        let y_ptr = SlicePtr::new(y);
+        let scr_ptr = SlicePtr::new(scratch);
+        pool.run(parts, |t| {
+            let (s0, sl) = part_range(count, parts, t);
+            // SAFETY: segment ranges are disjoint across tasks, each
+            // task owns scratch stripe `t`, and all borrows end at the
+            // `run` barrier.
+            let scr = unsafe { scr_ptr.slice(t * stride, scr_len) };
+            for s in s0..s0 + sl {
+                let row = unsafe { seg_ptr.slice(s * cfg.m_prime, cfg.m_prime) };
+                let out = unsafe { y_ptr.slice(s * cfg.m, cfg.m) };
+                self.plan_m
+                    .execute_fused_into(row, scr, out, &self.coeffs.demod);
+            }
+        });
     }
 
     /// Real-input (r2c) forward transform: the packed half-spectrum
@@ -262,67 +265,22 @@ impl SoiFft {
         ws.check(self)?;
         let SoiRealWorkspace {
             pool,
-            xext,
-            v,
             seg,
+            front,
             scratch,
             stride,
             trace,
             ..
         } = ws;
-        let pool: &ThreadPool = pool;
-        let trace: &soi_trace::Trace = trace;
         let ph = cfg.p / 2;
-        // Stage 1: real convolution over x extended with the circular halo.
-        trace.span_begin("halo", None);
-        xext[..cfg.n].copy_from_slice(x);
-        let (head, halo) = xext.split_at_mut(cfg.n);
-        halo.copy_from_slice(&head[..cfg.halo_len()]);
-        trace.span_end("halo", None);
-        trace.span_begin("conv", None);
-        convolve_real_pooled(self.shape(), &self.coeffs, xext, v, pool);
-        trace.span_end("conv", None);
-        // Stage 2: M' independent F_P over the contiguous groups.
-        trace.span_begin("fft_p", None);
-        self.batch_p.execute_pooled(v, pool, scratch);
-        trace.span_end("fft_p", None);
-        // Stage 3: conjugate-even pack — the partial transpose keeps only
-        // lanes 0..P/2 of each group. In the distributed algorithm this
-        // is the halved all-to-all.
-        trace.span_begin("pack", None);
-        transpose_partial_pooled(v, seg, cfg.m_prime, cfg.p, ph, pool);
-        trace.span_end("pack", None);
+        // Stages 1–3 with the real convolution kernel, keeping lanes
+        // 0..P/2 of each F_P group (the conjugate-even pack). In the
+        // distributed algorithm this is the halved all-to-all.
+        let block = self.front_block_chunks();
+        let halo = &x[..cfg.halo_len()];
+        self.front_end_with(x, halo, seg, ph, front, block, pool, trace);
         trace.span_begin("fft_m", None);
-        // Stage 4: per surviving segment, F_{M'} with the projection +
-        // Ŵ⁻¹ demodulation fused into the FFT's final output pass.
-        let parts = pool.threads().min(ph).max(1);
-        let scr_len = self.plan_m.scratch_len();
-        if parts == 1 {
-            for s in 0..ph {
-                let row = &mut seg[s * cfg.m_prime..(s + 1) * cfg.m_prime];
-                let out = &mut y[s * cfg.m..(s + 1) * cfg.m];
-                self.plan_m
-                    .execute_fused_into(row, &mut scratch[..scr_len], out, &self.coeffs.demod);
-            }
-        } else {
-            let seg_ptr = SlicePtr::new(seg);
-            let y_ptr = SlicePtr::new(y);
-            let scr_ptr = SlicePtr::new(scratch);
-            let stride = *stride;
-            pool.run(parts, |t| {
-                let (s0, sl) = part_range(ph, parts, t);
-                // SAFETY: segment ranges are disjoint across tasks, each
-                // task owns scratch stripe `t`, and all borrows end at the
-                // `run` barrier.
-                let scr = unsafe { scr_ptr.slice(t * stride, scr_len) };
-                for s in s0..s0 + sl {
-                    let row = unsafe { seg_ptr.slice(s * cfg.m_prime, cfg.m_prime) };
-                    let out = unsafe { y_ptr.slice(s * cfg.m, cfg.m) };
-                    self.plan_m
-                        .execute_fused_into(row, scr, out, &self.coeffs.demod);
-                }
-            });
-        }
+        self.segments_into(seg, y, ph, pool, scratch, *stride);
         // The Nyquist bin is exact and costs O(N): y_{N/2} = Σ x_j(−1)^j.
         y[cfg.n / 2] = Complex64::new(nyquist_fold(x), 0.0);
         trace.span_end("fft_m", None);
@@ -505,6 +463,7 @@ pub fn nyquist_fold(x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::FrontArena;
     use soi_fft::fft_forward;
     use soi_num::complex::rel_l2_error;
     use soi_num::stats::snr_db;
@@ -825,67 +784,198 @@ mod tests {
         assert!(err < bound * 10.0, "err {err:e} vs bound {bound:e}");
     }
 
-    #[test]
-    fn tracing_is_transparent_and_emits_stage_spans() {
-        let params = SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap();
-        let soi = SoiFft::new(&params).unwrap();
-        let x = signal(1 << 12);
-        let mut ws_plain = SoiWorkspace::new(&soi, 2);
-        let mut y_plain = vec![Complex64::ZERO; 1 << 12];
-        soi.transform_into(&x, &mut y_plain, &mut ws_plain).unwrap();
-
-        let mut ws_traced = SoiWorkspace::new(&soi, 2);
-        ws_traced.set_trace(soi_trace::Trace::recording(0));
-        let mut y_traced = vec![Complex64::ZERO; 1 << 12];
-        soi.transform_into(&x, &mut y_traced, &mut ws_traced).unwrap();
-
-        // Tracing must not perturb the numerics: bitwise identity.
-        for (a, b) in y_plain.iter().zip(&y_traced) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-        let events = ws_traced.trace().drain();
-        let totals = soi_trace::phase_totals(&events);
+    /// The span contract of a traced call wrapped in a `call` span (what
+    /// `perfbench`'s traced run checks): the stream validates, each of the
+    /// five stage spans has a positive total, and they add up to no more
+    /// than the call.
+    fn assert_span_contract(events: &[soi_trace::Event], what: &str) {
+        let set = soi_trace::TraceSet::from_streams(vec![events.to_vec()]);
+        set.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
+        let totals = soi_trace::phase_totals(events);
         let names: Vec<&str> = totals.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["halo", "conv", "fft_p", "pack", "fft_m"]);
-        // The untraced workspace recorded nothing, and stays that way.
-        assert!(ws_plain.trace().is_empty());
+        assert_eq!(
+            names,
+            ["halo", "conv", "fft_p", "pack", "fft_m", "call"],
+            "{what}"
+        );
+        let (call, stages) = totals.split_last().unwrap();
+        assert!(stages.iter().all(|(_, ns)| *ns > 0), "{what}: {totals:?}");
+        let sum: u64 = stages.iter().map(|(_, ns)| ns).sum();
+        assert!(
+            sum <= call.1,
+            "{what}: stages {sum} ns exceed the call's {} ns",
+            call.1
+        );
     }
 
-    #[test]
-    fn fused_stage4_is_bitwise_identical_to_unfused_reference() {
-        // The production path fuses projection + demodulation into the
-        // final FFT pass; rebuild the same pipeline from the public
-        // pieces with the demodulation as a separate multiply loop and
-        // demand bitwise identity (a far stronger statement than the SNR
-        // bound, which it implies).
-        let params = SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap();
-        let soi = SoiFft::new(&params).unwrap();
-        let cfg = *soi.config();
-        let x = signal(1 << 12);
-        let y = soi.transform(&x).unwrap();
+    /// N = 2^15, P = 8 runs four production front-end blocks, so the
+    /// per-block spans repeat, and three workers split the blocks.
+    const TRACED_N: usize = 1 << 15;
 
-        let mut xext = vec![Complex64::ZERO; cfg.n + cfg.halo_len()];
-        xext[..cfg.n].copy_from_slice(&x);
-        let (head, halo) = xext.split_at_mut(cfg.n);
-        halo.copy_from_slice(&head[..cfg.halo_len()]);
+    #[test]
+    fn tracing_is_transparent_and_emits_stage_spans() {
+        let params = SoiParams::with_preset(TRACED_N, 8, AccuracyPreset::Digits10).unwrap();
+        let soi = SoiFft::new(&params).unwrap();
+        let x = signal(TRACED_N);
+        for workers in [1usize, 3] {
+            let mut ws_plain = SoiWorkspace::new(&soi, workers);
+            let mut y_plain = vec![Complex64::ZERO; TRACED_N];
+            soi.transform_into(&x, &mut y_plain, &mut ws_plain).unwrap();
+
+            let trace = soi_trace::Trace::recording(0);
+            let mut ws_traced = SoiWorkspace::new(&soi, workers);
+            ws_traced.set_trace(trace.clone());
+            let mut y_traced = vec![Complex64::ZERO; TRACED_N];
+            trace.span_begin("call", None);
+            soi.transform_into(&x, &mut y_traced, &mut ws_traced)
+                .unwrap();
+            trace.span_end("call", None);
+
+            // Tracing must not perturb the numerics: bitwise identity.
+            assert_eq!(bits(&y_plain), bits(&y_traced), "workers={workers}");
+            assert_span_contract(&trace.drain(), &format!("workers={workers}"));
+            // The untraced workspace recorded nothing, and stays that way.
+            assert!(ws_plain.trace().is_empty());
+        }
+    }
+
+    /// The whole-array pipeline the blocked front end replaced, rebuilt
+    /// from public pieces: `x` extended by its circular halo, one
+    /// convolution over all `M'` rows, one `F_P` batch, the stride
+    /// permutation, then per segment `F_{M'}` and the demodulation as a
+    /// separate multiply loop. Keeps the first `keep` segments (`P/2` for
+    /// real input); returns them before `F_{M'}` and as spectrum bins.
+    fn whole_array_reference<T: Sample>(
+        soi: &SoiFft,
+        x: &[T],
+        keep: usize,
+    ) -> (Vec<Complex64>, Vec<Complex64>) {
+        let cfg = *soi.config();
+        let mut xext = x.to_vec();
+        xext.extend_from_within(..cfg.halo_len());
         let mut v = vec![Complex64::ZERO; cfg.n_prime];
-        crate::conv::convolve(soi.shape(), soi.coefficients(), &xext, &mut v);
+        T::convolve(soi.shape(), soi.coefficients(), &xext, &mut v);
         soi.batch_p().execute(&mut v);
         let mut seg = vec![Complex64::ZERO; cfg.n_prime];
         soi_fft::permute::stride_permute(&v, &mut seg, cfg.m_prime);
-        let mut want = vec![Complex64::ZERO; cfg.n];
+        seg.truncate(keep * cfg.m_prime);
+        let lanes = seg.clone();
+        let mut y = vec![Complex64::ZERO; keep * cfg.m];
         let mut scratch = vec![Complex64::ZERO; soi.plan_m().scratch_len()];
-        for s in 0..cfg.p {
+        for s in 0..keep {
             let row = &mut seg[s * cfg.m_prime..(s + 1) * cfg.m_prime];
             soi.plan_m().execute_with_scratch(row, &mut scratch);
             for k in 0..cfg.m {
-                want[s * cfg.m + k] = row[k] * soi.coefficients().demod[k];
+                y[s * cfg.m + k] = row[k] * soi.coefficients().demod[k];
             }
         }
-        for (k, (a, b)) in y.iter().zip(&want).enumerate() {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "bin {k}");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "bin {k}");
+        (lanes, y)
+    }
+
+    /// Geometries for the reference tests: P ∈ {4, 5, 6, 8, 16}.
+    const REFERENCE_GEOMETRIES: [(usize, usize); 5] = [
+        (1 << 12, 4),
+        (10_000, 5),
+        (9216, 6),
+        (1 << 14, 8),
+        (1 << 14, 16),
+    ];
+
+    #[test]
+    fn fused_stage4_is_bitwise_identical_to_unfused_reference() {
+        // The production path runs the front end block by block and fuses
+        // projection + demodulation into the final FFT pass; the
+        // whole-array reference does neither. Demand bitwise identity (a
+        // far stronger statement than the SNR bound, which it implies) for
+        // complex and real input on every worker count.
+        for (n, p) in REFERENCE_GEOMETRIES {
+            let params = SoiParams::with_preset(n, p, AccuracyPreset::Digits10).unwrap();
+            let soi = SoiFft::new(&params).unwrap();
+            let cfg = *soi.config();
+            let x = signal(n);
+            let xr = real_signal(n);
+            let (_, want) = whole_array_reference(&soi, &x, p);
+            let (_, want_real) = whole_array_reference(&soi, &xr, p / 2);
+            for workers in [1usize, 2, 3, 7] {
+                let mut ws = SoiWorkspace::new(&soi, workers);
+                let mut y = vec![Complex64::ZERO; n];
+                soi.transform_into(&x, &mut y, &mut ws).unwrap();
+                assert_eq!(bits(&y), bits(&want), "N={n} P={p} workers={workers}");
+                if p % 2 == 0 {
+                    let mut ws = SoiRealWorkspace::new(&soi, workers);
+                    let mut y = vec![Complex64::ZERO; n / 2 + 1];
+                    soi.transform_real_into(&xr, &mut y, &mut ws).unwrap();
+                    assert_eq!(
+                        bits(&y[..cfg.n / 2]),
+                        bits(&want_real),
+                        "real N={n} P={p} workers={workers}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_front_end_is_bitwise_the_whole_array_reference() {
+        // Small blocks reach the cases the production block size only
+        // meets at large N: several blocks, a ragged last block, and a
+        // block boundary inside the run of chunks whose window wraps past
+        // the end of x.
+        for (n, p) in REFERENCE_GEOMETRIES {
+            let params = SoiParams::with_preset(n, p, AccuracyPreset::Digits10).unwrap();
+            let soi = SoiFft::new(&params).unwrap();
+            let cfg = *soi.config();
+            let chunks = n / (cfg.nu * p);
+            // Chunk c reads samples [cνP, (cν + ν + B)·P): it wraps when
+            // that runs past N.
+            let first_wrap = (0..chunks)
+                .find(|c| (c * cfg.nu + cfg.nu + cfg.b) * p > n)
+                .unwrap();
+            let wrapping = chunks - first_wrap;
+            assert!(
+                wrapping >= 3,
+                "N={n} P={p}: only {wrapping} wrapping chunks"
+            );
+            let blocks = [wrapping - 1, 7, soi.front_block_chunks()];
+            // The first block size puts a boundary strictly inside the
+            // wrapping run; one of them leaves a ragged last block.
+            let straddles = |k: usize| (first_wrap + 1..chunks).any(|c| c.is_multiple_of(k));
+            assert!(straddles(blocks[0]), "N={n} P={p}: no straddling block");
+            let ragged = |k: usize| chunks > k && !chunks.is_multiple_of(k);
+            assert!(
+                blocks.into_iter().any(ragged),
+                "N={n} P={p}: no ragged block"
+            );
+            let x = signal(n);
+            let xr = real_signal(n);
+            let (want, _) = whole_array_reference(&soi, &x, p);
+            let (want_real, _) = whole_array_reference(&soi, &xr, p / 2);
+            for block in blocks {
+                for workers in [1usize, 2, 3, 7] {
+                    let pool = ThreadPool::new(workers);
+                    let what = format!("N={n} P={p} block={block} workers={workers}");
+                    let mut got = vec![Complex64::ZERO; cfg.n_prime];
+                    let mut arena = FrontArena::new(&soi, n, 1);
+                    let halo = &x[..cfg.halo_len()];
+                    let trace = soi_trace::Trace::disabled();
+                    soi.front_end_with(&x, halo, &mut got, p, &mut arena, block, &pool, &trace);
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    let mut got = vec![Complex64::ZERO; p / 2 * cfg.m_prime];
+                    let mut arena = FrontArena::new(&soi, n, 1);
+                    let halo = &xr[..cfg.halo_len()];
+                    soi.front_end_with(
+                        &xr,
+                        halo,
+                        &mut got,
+                        p / 2,
+                        &mut arena,
+                        block,
+                        &pool,
+                        &trace,
+                    );
+                    assert_eq!(bits(&got), bits(&want_real), "real {what}");
+                }
+            }
         }
     }
 
@@ -936,7 +1026,10 @@ mod tests {
                 .enumerate()
                 .map(|(j, &v)| if j % 2 == 0 { v } else { -v })
                 .sum();
-            assert!((nyquist_fold(&x) - naive).abs() < 1e-12 * (n.max(1) as f64), "n={n}");
+            assert!(
+                (nyquist_fold(&x) - naive).abs() < 1e-12 * (n.max(1) as f64),
+                "n={n}"
+            );
         }
     }
 
@@ -1016,7 +1109,8 @@ mod tests {
         let half = (1 << 13) + 1;
         let mut reference = vec![Complex64::ZERO; half];
         let mut ws1 = SoiRealWorkspace::new(&soi, 1);
-        soi.transform_real_into(&x, &mut reference, &mut ws1).unwrap();
+        soi.transform_real_into(&x, &mut reference, &mut ws1)
+            .unwrap();
         // Run-to-run on a reused workspace.
         let mut again = vec![Complex64::ZERO; half];
         soi.transform_real_into(&x, &mut again, &mut ws1).unwrap();
@@ -1088,27 +1182,29 @@ mod tests {
 
     #[test]
     fn real_tracing_is_transparent_and_emits_stage_spans() {
-        let params = SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap();
+        let params = SoiParams::with_preset(TRACED_N, 8, AccuracyPreset::Digits10).unwrap();
         let soi = SoiFft::new(&params).unwrap();
-        let x = real_signal(1 << 12);
-        let half = (1 << 11) + 1;
-        let mut ws_plain = SoiRealWorkspace::new(&soi, 2);
-        let mut y_plain = vec![Complex64::ZERO; half];
-        soi.transform_real_into(&x, &mut y_plain, &mut ws_plain).unwrap();
+        let x = real_signal(TRACED_N);
+        let half = TRACED_N / 2 + 1;
+        for workers in [1usize, 3] {
+            let mut ws_plain = SoiRealWorkspace::new(&soi, workers);
+            let mut y_plain = vec![Complex64::ZERO; half];
+            soi.transform_real_into(&x, &mut y_plain, &mut ws_plain)
+                .unwrap();
 
-        let mut ws_traced = SoiRealWorkspace::new(&soi, 2);
-        ws_traced.set_trace(soi_trace::Trace::recording(0));
-        let mut y_traced = vec![Complex64::ZERO; half];
-        soi.transform_real_into(&x, &mut y_traced, &mut ws_traced).unwrap();
+            let trace = soi_trace::Trace::recording(0);
+            let mut ws_traced = SoiRealWorkspace::new(&soi, workers);
+            ws_traced.set_trace(trace.clone());
+            let mut y_traced = vec![Complex64::ZERO; half];
+            trace.span_begin("call", None);
+            soi.transform_real_into(&x, &mut y_traced, &mut ws_traced)
+                .unwrap();
+            trace.span_end("call", None);
 
-        for (a, b) in y_plain.iter().zip(&y_traced) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
+            assert_eq!(bits(&y_plain), bits(&y_traced), "workers={workers}");
+            assert_span_contract(&trace.drain(), &format!("real workers={workers}"));
+            assert!(ws_plain.trace().is_empty());
         }
-        let events = ws_traced.trace().drain();
-        let totals = soi_trace::phase_totals(&events);
-        let names: Vec<&str> = totals.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["halo", "conv", "fft_p", "pack", "fft_m"]);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Reusable execution state for the SOI pipeline: one worker pool plus
 //! every intermediate buffer [`SoiFft::transform_into`] touches.
 //!
-//! The four-stage transform needs four `O(N')` buffers (extended input,
-//! convolution output, permuted segments, per-worker FFT scratch). The
-//! original `transform` heap-allocated all of them per call; a
-//! [`SoiWorkspace`] hoists them into an arena built once per
-//! configuration, so steady-state calls allocate nothing and the worker
-//! pool persists across calls (spawn once, park between jobs).
+//! The transform needs one `O(N')` buffer, the segment-major output of
+//! the front end, plus per-worker `F_{M'}` scratch and the blocked front
+//! end's small arena (one L2-sized stripe per worker and the wrap
+//! buffer; see [`crate::front`]). A [`SoiWorkspace`] holds them all,
+//! built once per configuration, so steady-state calls allocate nothing
+//! and the worker pool persists across calls (spawn once, park between
+//! jobs).
 //!
 //! **Reuse contract.** A workspace is bound to the exact configuration of
 //! the [`SoiFft`] it was built from (sizes *and* FFT engine scratch
@@ -16,6 +17,7 @@
 //! re-zeroing — every buffer region that is read is written first.
 
 use crate::error::SoiError;
+use crate::front::FrontArena;
 use crate::pipeline::SoiFft;
 use soi_num::{AlignedBuf, Complex64};
 use soi_pool::ThreadPool;
@@ -26,15 +28,13 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct SoiWorkspace {
     pub(crate) pool: Arc<ThreadPool>,
-    /// Extended input: `N` points followed by the circular halo.
-    /// All four arena buffers are [`AlignedBuf`]s: a plain `Vec` this
-    /// large is mmap-served at a 16-byte offset, which costs the SIMD
-    /// kernels ~25% in straddled cache-line loads.
-    pub(crate) xext: AlignedBuf<Complex64>,
-    /// Convolution output / `F_P` batch buffer (`N'`).
-    pub(crate) v: AlignedBuf<Complex64>,
-    /// Stride-permuted segment buffer (`N'`).
+    /// Stride-permuted segment buffer (`N'`). The arena buffers are
+    /// [`AlignedBuf`]s: a plain `Vec` this large is mmap-served at a
+    /// 16-byte offset, which costs the SIMD kernels ~25% in straddled
+    /// cache-line loads.
     pub(crate) seg: AlignedBuf<Complex64>,
+    /// The front end's per-worker stripes and wrap buffer.
+    pub(crate) front: FrontArena<Complex64>,
     /// Per-worker FFT scratch arena: `threads` stripes of `stride`.
     pub(crate) scratch: AlignedBuf<Complex64>,
     /// Stripe width of `scratch` (max engine scratch length).
@@ -65,9 +65,8 @@ impl SoiWorkspace {
             // arena base.
             .next_multiple_of(4);
         Self {
-            xext: AlignedBuf::zeroed(cfg.n + cfg.halo_len()),
-            v: AlignedBuf::zeroed(cfg.n_prime),
             seg: AlignedBuf::zeroed(cfg.n_prime),
+            front: FrontArena::new(soi, cfg.n, pool.threads()),
             scratch: AlignedBuf::zeroed(pool.threads() * stride),
             stride,
             shape: (cfg.n, cfg.p, cfg.m_prime, cfg.halo_len()),
@@ -77,8 +76,9 @@ impl SoiWorkspace {
     }
 
     /// Attach a trace handle: subsequent [`SoiFft::transform_into`] calls
-    /// on this workspace emit one span per pipeline stage ("halo", "conv",
-    /// "fft_p", "pack", "fft_m"). Pass [`Trace::disabled`] to detach.
+    /// on this workspace emit the pipeline stage spans ("halo", "conv",
+    /// "fft_p", "pack", "fft_m"; the middle three once per front-end
+    /// block of the calling worker). Pass [`Trace::disabled`] to detach.
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
@@ -126,19 +126,15 @@ impl SoiWorkspace {
 /// transform [`SoiFft::transform_real_into`].
 ///
 /// Identical arena discipline to [`SoiWorkspace`], with the real-path
-/// shapes: the extended input is a stream of `N + halo` *reals* (half
-/// the bytes of the complex arena), the convolution output still spans
-/// the full `N'` complex values, and the segment buffer holds only the
-/// non-redundant `P/2` segments the Hermitian fold keeps.
+/// shapes: the wrap buffer holds *reals*, and the segment buffer holds
+/// only the non-redundant `P/2` segments the Hermitian fold keeps.
 #[derive(Debug)]
 pub struct SoiRealWorkspace {
     pub(crate) pool: Arc<ThreadPool>,
-    /// Extended real input: `N` samples followed by the circular halo.
-    pub(crate) xext: AlignedBuf<f64>,
-    /// Convolution output / `F_P` batch buffer (`N'` complex).
-    pub(crate) v: AlignedBuf<Complex64>,
-    /// Partially transposed segment buffer: `P/2` segments of `M'`.
+    /// Segment buffer: the first `P/2` segments of `M'`.
     pub(crate) seg: AlignedBuf<Complex64>,
+    /// The front end's per-worker stripes and real wrap buffer.
+    pub(crate) front: FrontArena<f64>,
     /// Per-worker FFT scratch arena: `threads` stripes of `stride`.
     pub(crate) scratch: AlignedBuf<Complex64>,
     /// Stripe width of `scratch` (max engine scratch length).
@@ -165,9 +161,8 @@ impl SoiRealWorkspace {
             .max(soi.plan_m().scratch_len())
             .next_multiple_of(4);
         Self {
-            xext: AlignedBuf::zeroed(cfg.n + cfg.halo_len()),
-            v: AlignedBuf::zeroed(cfg.n_prime),
             seg: AlignedBuf::zeroed(cfg.p / 2 * cfg.m_prime),
+            front: FrontArena::new(soi, cfg.n, pool.threads()),
             scratch: AlignedBuf::zeroed(pool.threads() * stride),
             stride,
             shape: (cfg.n, cfg.p, cfg.m_prime, cfg.halo_len()),
@@ -177,8 +172,8 @@ impl SoiRealWorkspace {
     }
 
     /// Attach a trace handle: subsequent [`SoiFft::transform_real_into`]
-    /// calls emit one span per pipeline stage ("halo", "conv", "fft_p",
-    /// "pack", "fft_m"). Pass [`Trace::disabled`] to detach.
+    /// calls emit the same stage spans as [`SoiWorkspace::set_trace`].
+    /// Pass [`Trace::disabled`] to detach.
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }

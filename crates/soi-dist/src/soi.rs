@@ -5,7 +5,8 @@
 //! 2. **convolution** — the local slice of `W·x` (`M'/R` groups of `P`);
 //! 3. **F_P batch** — `I ⊗ F_P` on the local groups;
 //! 4. **pack** — node-local permutation gathering same-destination data
-//!    (Fig 3);
+//!    (Fig 3). Phases 2–4 run block by block in L2 as one front end
+//!    ([`SoiFft::front_end`]), straight into the send buffer;
 //! 5. **all-to-all** — the single global exchange (`P_perm^{P,N'}`);
 //! 6. **F_{M'}** — one oversampled FFT per owned segment;
 //! 7. **demodulate** — project to `M` bins and divide by `ŵ(k)`.
@@ -166,11 +167,14 @@ impl DistSoiFft {
     /// spans and is not charged to any phase, so a no-op hook leaves the
     /// run observationally identical to [`Self::run_with`].
     ///
-    /// Under the default [`ExchangeSchedule::Overlapped`] schedule the
-    /// exchange, F_{M'}, and demodulation fuse into one streamed region;
-    /// boundaries `5` and `6` then fire back-to-back after it. Both
-    /// checkpoint consumers store phase *inputs*, so replay from either
-    /// boundary is schedule-independent.
+    /// The convolution, F_P batch and pack run block by block as one
+    /// front end ([`SoiFft::front_end`]), so boundaries `2`, `3` and `4`
+    /// fire back-to-back after it. Under the default
+    /// [`ExchangeSchedule::Overlapped`] schedule the exchange, F_{M'},
+    /// and demodulation fuse into one streamed region; boundaries `5` and
+    /// `6` then fire back-to-back after it. Both checkpoint consumers
+    /// store phase *inputs*, so replay from any boundary is
+    /// schedule-independent.
     pub fn run_with_hooks<C, F>(
         &self,
         comm: &mut C,
@@ -235,65 +239,30 @@ impl DistSoiFft {
         trace.span_end("halo", comm.clock_now());
         hook(comm, 1)?;
 
-        let mut xext = Vec::with_capacity(local_pts + cfg.halo_len());
-        xext.extend_from_slice(x_local);
-        xext.extend_from_slice(&halo);
-
-        // 2. Convolution over my row range (global rows r·rows..(r+1)·rows;
-        // the coefficient table is row-periodic with period μ | rows, so
-        // the kernel runs rank-relative unchanged).
-        trace.span_begin("conv", comm.clock_now());
-        let t0 = Instant::now();
-        let mut v = vec![Complex64::ZERO; rows * p];
-        soi_core::conv::convolve_pooled(
-            self.soi.shape(),
-            self.soi.coefficients(),
-            &xext,
-            &mut v,
-            pool,
-        );
-        let dt = policy.charge(
-            WorkKind::Conv,
-            conv_flops(rows * p, cfg.b),
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.conv = dt;
-        trace.span_end("conv", comm.clock_now());
-        hook(comm, 2)?;
-
-        // 3. I ⊗ F_P over the local groups.
-        trace.span_begin("fft_p", comm.clock_now());
-        let t0 = Instant::now();
-        let batch = self.soi.batch_p();
-        let mut batch_scratch =
-            vec![Complex64::ZERO; pool.threads().min(rows).max(1) * batch.scratch_len()];
-        batch.execute_pooled(&mut v, pool, &mut batch_scratch);
-        let dt = policy.charge(
-            WorkKind::Fft,
-            rows as f64 * fft_flops(p),
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.fft_small = dt;
-        trace.span_end("fft_p", comm.clock_now());
-        hook(comm, 3)?;
-
-        trace.span_begin("pack", comm.clock_now());
-        // 4. Pack (Fig 3's local permutation): destination-major, and
-        // within a destination segment-major — rank d gets, for each of
-        // its segments s, my rows' lane-s values in row order.
-        let t0 = Instant::now();
+        // 2–4. Convolution over my row range (global rows
+        // r·rows..(r+1)·rows; the coefficient table is row-periodic with
+        // period μ | rows, so the kernels run rank-relative unchanged),
+        // I ⊗ F_P, and the pack (Fig 3's local permutation), block by
+        // block. The pack writes lane-major (p × rows), which
+        // concatenates lanes s = 0..P in order — destination d's block
+        // is exactly lanes [d·c, (d+1)·c), already segment-major.
         let mut send = vec![Complex64::ZERO; rows * p];
-        // v is (rows × p) row-major; transposing gives lane-major (p × rows),
-        // which concatenates lanes s = 0..P in order — and destination d's
-        // block is exactly lanes [d·c, (d+1)·c), already segment-major.
-        soi_fft::permute::transpose_pooled(&v, &mut send, rows, p, pool);
+        let front = self
+            .soi
+            .front_end(x_local, &halo, &mut send, p, pool, &trace);
+        // Charge each phase as its own modeled work item.
         let pack_bytes = 2.0 * (rows * p * std::mem::size_of::<Complex64>()) as f64;
-        let dt = policy.charge(WorkKind::Mem, pack_bytes, t0.elapsed().as_secs_f64());
-        comm.charge_compute(dt);
-        times.pack = dt;
-        trace.span_end("pack", comm.clock_now());
+        times.conv = policy.charge(WorkKind::Conv, conv_flops(rows * p, cfg.b), front.conv);
+        times.fft_small = policy.charge(WorkKind::Fft, rows as f64 * fft_flops(p), front.fft_p);
+        times.pack = policy.charge(WorkKind::Mem, pack_bytes, front.pack);
+        for dt in [times.conv, times.fft_small, times.pack] {
+            comm.charge_compute(dt);
+        }
+        // The blocks crossed boundaries 2–4 at once; fire the hooks in
+        // pipeline order (checkpoints persist phase inputs, so replay
+        // from any of them is unchanged).
+        hook(comm, 2)?;
+        hook(comm, 3)?;
         hook(comm, 4)?;
 
         if schedule == ExchangeSchedule::Overlapped {
@@ -549,63 +518,27 @@ impl DistSoiFft {
         times.halo = comm.comm_seconds() - c0;
         trace.span_end("halo", comm.clock_now());
 
-        let mut xext = Vec::with_capacity(local_pts + cfg.halo_len());
-        xext.extend_from_slice(x_local);
-        xext.extend_from_slice(&halo);
-
-        // 2. Real convolution over my row range — two real FMAs per tap,
-        // half the arithmetic of the complex kernel.
-        trace.span_begin("conv", comm.clock_now());
-        let t0 = Instant::now();
-        let mut v = vec![Complex64::ZERO; rows * p];
-        soi_core::conv::convolve_real_pooled(
-            self.soi.shape(),
-            self.soi.coefficients(),
-            &xext,
-            &mut v,
-            pool,
-        );
-        let dt = policy.charge(
-            WorkKind::Conv,
-            conv_flops(rows * p, cfg.b) / 2.0, // real input halves the FMAs
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.conv = dt;
-        trace.span_end("conv", comm.clock_now());
-
-        // 3. I ⊗ F_P over the local groups — still the full complex
-        // batch: every lane participates as F_P input; the redundancy
-        // only becomes droppable after the per-group transform.
-        trace.span_begin("fft_p", comm.clock_now());
-        let t0 = Instant::now();
-        let batch = self.soi.batch_p();
-        let mut batch_scratch =
-            vec![Complex64::ZERO; pool.threads().min(rows).max(1) * batch.scratch_len()];
-        batch.execute_pooled(&mut v, pool, &mut batch_scratch);
-        let dt = policy.charge(
-            WorkKind::Fft,
-            rows as f64 * fft_flops(p),
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.fft_small = dt;
-        trace.span_end("fft_p", comm.clock_now());
-
-        trace.span_begin("pack", comm.clock_now());
-        // 4. Pack: the partial transpose keeps lanes 0..P/2 only —
-        // conjugate symmetry of the real input makes lanes P/2..P the
-        // mirror conjugates of the kept half, so they never enter the
-        // send buffer. Destination d's block is lanes [d·ch, (d+1)·ch),
-        // already segment-major, exactly as in the complex pack.
-        let t0 = Instant::now();
+        // 2–4. Real convolution over my row range (two real FMAs per
+        // tap, half the arithmetic of the complex kernel), the full
+        // complex I ⊗ F_P (every lane is F_P input; the redundancy only
+        // becomes droppable after it), and the pack of lanes 0..P/2 only
+        // — conjugate symmetry makes lanes P/2..P the mirror conjugates
+        // of the kept half, so they never enter the send buffer.
+        // Destination d's block is lanes [d·ch, (d+1)·ch), already
+        // segment-major, exactly as in the complex pack.
         let mut send = vec![Complex64::ZERO; rows * ph];
-        soi_fft::permute::transpose_partial_pooled(&v, &mut send, rows, p, ph, pool);
+        let front = self
+            .soi
+            .front_end(x_local, &halo, &mut send, ph, pool, &trace);
+        // Real input halves the convolution's FMAs.
+        let conv = conv_flops(rows * p, cfg.b) / 2.0;
         let pack_bytes = ((rows * (p + ph)) * std::mem::size_of::<Complex64>()) as f64;
-        let dt = policy.charge(WorkKind::Mem, pack_bytes, t0.elapsed().as_secs_f64());
-        comm.charge_compute(dt);
-        times.pack = dt;
-        trace.span_end("pack", comm.clock_now());
+        times.conv = policy.charge(WorkKind::Conv, conv, front.conv);
+        times.fft_small = policy.charge(WorkKind::Fft, rows as f64 * fft_flops(p), front.fft_p);
+        times.pack = policy.charge(WorkKind::Mem, pack_bytes, front.pack);
+        for dt in [times.conv, times.fft_small, times.pack] {
+            comm.charge_compute(dt);
+        }
 
         // Nyquist bin: y[N/2] = Σ_j (−1)^j x_j is the one output the kept
         // half-segments cannot produce. Every rank folds its own slice —

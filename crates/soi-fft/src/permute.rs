@@ -4,11 +4,11 @@
 //! dividing n) by `w_{j+kℓ} = v_{k+j·(n/ℓ)}` for `0 ≤ j < ℓ`,
 //! `0 ≤ k < n/ℓ` — i.e. reading `v` as an ℓ×(n/ℓ) row-major matrix and
 //! writing its transpose. `P_perm^{P,N'}` is the factorization's single
-//! global all-to-all; these same routines implement the *local* halves of
-//! that exchange (Fig 3) and the transposes of the baseline algorithm.
+//! global all-to-all. These serial routines are the reference for the
+//! SOI front end's block-by-block pack (`soi_core::front`) and the
+//! transposes of the baseline algorithm.
 
 use soi_num::{Complex, Real};
-use soi_pool::{part_range, SlicePtr, ThreadPool};
 
 /// Cache-block edge for the blocked transpose.
 const BLOCK: usize = 32;
@@ -31,116 +31,6 @@ pub fn transpose<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize) {
     }
 }
 
-/// Parallel cache-blocked transpose on a [`ThreadPool`]: block-rows of
-/// `src` are split into balanced contiguous ranges, one per worker. Each
-/// source row lands in exactly one task, so writes are disjoint and the
-/// output is identical for every worker count.
-pub fn transpose_pooled<T: Copy + Send + Sync>(
-    src: &[T],
-    dst: &mut [T],
-    rows: usize,
-    cols: usize,
-    pool: &ThreadPool,
-) {
-    assert_eq!(src.len(), rows * cols, "src shape mismatch");
-    assert_eq!(dst.len(), rows * cols, "dst shape mismatch");
-    let blocks = rows.div_ceil(BLOCK);
-    let parts = pool.threads().min(blocks).max(1);
-    if parts == 1 {
-        return transpose(src, dst, rows, cols);
-    }
-    let dst_ptr = SlicePtr::new(dst);
-    pool.run(parts, |t| {
-        let (b0, bl) = part_range(blocks, parts, t);
-        let r_lo = b0 * BLOCK;
-        let r_hi = ((b0 + bl) * BLOCK).min(rows);
-        for r0 in (r_lo..r_hi).step_by(BLOCK) {
-            let r1 = (r0 + BLOCK).min(r_hi);
-            for c0 in (0..cols).step_by(BLOCK) {
-                let c1 = (c0 + BLOCK).min(cols);
-                for r in r0..r1 {
-                    for c in c0..c1 {
-                        // SAFETY: destination index `c·rows + r` is unique
-                        // to this task because each `r` belongs to exactly
-                        // one block-row range.
-                        unsafe { dst_ptr.write(c * rows + r, src[r * cols + c]) };
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Partial out-of-place transpose: `src` is `rows×cols` row-major; `dst`
-/// receives the transpose of its first `keep` columns (a `keep×rows`
-/// row-major matrix). This is the real-input pack stage: only the
-/// non-redundant half of the demodulation lanes survives the Hermitian
-/// fold, so the transpose touches and moves only those columns.
-/// Cache-blocked.
-pub fn transpose_partial<T: Copy>(
-    src: &[T],
-    dst: &mut [T],
-    rows: usize,
-    cols: usize,
-    keep: usize,
-) {
-    assert!(keep <= cols, "keep {keep} exceeds cols {cols}");
-    assert_eq!(src.len(), rows * cols, "src shape mismatch");
-    assert_eq!(dst.len(), rows * keep, "dst shape mismatch");
-    for r0 in (0..rows).step_by(BLOCK) {
-        let r1 = (r0 + BLOCK).min(rows);
-        for c0 in (0..keep).step_by(BLOCK) {
-            let c1 = (c0 + BLOCK).min(keep);
-            for r in r0..r1 {
-                for c in c0..c1 {
-                    dst[c * rows + r] = src[r * cols + c];
-                }
-            }
-        }
-    }
-}
-
-/// [`transpose_partial`] executed block-row-parallel on a pool. Each
-/// source row belongs to exactly one task, so writes are disjoint and the
-/// output is identical for every worker count.
-pub fn transpose_partial_pooled<T: Copy + Send + Sync>(
-    src: &[T],
-    dst: &mut [T],
-    rows: usize,
-    cols: usize,
-    keep: usize,
-    pool: &ThreadPool,
-) {
-    assert!(keep <= cols, "keep {keep} exceeds cols {cols}");
-    assert_eq!(src.len(), rows * cols, "src shape mismatch");
-    assert_eq!(dst.len(), rows * keep, "dst shape mismatch");
-    let blocks = rows.div_ceil(BLOCK);
-    let parts = pool.threads().min(blocks).max(1);
-    if parts == 1 {
-        return transpose_partial(src, dst, rows, cols, keep);
-    }
-    let dst_ptr = SlicePtr::new(dst);
-    pool.run(parts, |t| {
-        let (b0, bl) = part_range(blocks, parts, t);
-        let r_lo = b0 * BLOCK;
-        let r_hi = ((b0 + bl) * BLOCK).min(rows);
-        for r0 in (r_lo..r_hi).step_by(BLOCK) {
-            let r1 = (r0 + BLOCK).min(r_hi);
-            for c0 in (0..keep).step_by(BLOCK) {
-                let c1 = (c0 + BLOCK).min(keep);
-                for r in r0..r1 {
-                    for c in c0..c1 {
-                        // SAFETY: destination index `c·rows + r` is unique
-                        // to this task because each `r` belongs to exactly
-                        // one block-row range.
-                        unsafe { dst_ptr.write(c * rows + r, src[r * cols + c]) };
-                    }
-                }
-            }
-        }
-    });
-}
-
 /// The paper's stride permutation `w = P_perm^{ℓ,n}·v`:
 /// `w[j + k·ℓ] = v[k + j·(n/ℓ)]`.
 ///
@@ -152,19 +42,6 @@ pub fn stride_permute<T: Copy>(v: &[T], w: &mut [T], l: usize) {
     assert!(l > 0 && n % l == 0, "stride {l} must divide length {n}");
     // v viewed as ℓ×(n/ℓ) row-major, w as its transpose.
     transpose(v, w, l, n / l);
-}
-
-/// [`stride_permute`] executed block-row-parallel on a pool.
-pub fn stride_permute_pooled<T: Copy + Send + Sync>(
-    v: &[T],
-    w: &mut [T],
-    l: usize,
-    pool: &ThreadPool,
-) {
-    let n = v.len();
-    assert_eq!(w.len(), n);
-    assert!(l > 0 && n % l == 0, "stride {l} must divide length {n}");
-    transpose_pooled(v, w, l, n / l, pool);
 }
 
 /// Inverse stride permutation: `P_perm^{n/ℓ,n}` (the transpose back).
@@ -285,58 +162,6 @@ mod tests {
         let v = [0u8; 10];
         let mut w = [0u8; 10];
         stride_permute(&v, &mut w, 3);
-    }
-
-    #[test]
-    fn pooled_transpose_matches_serial_exactly() {
-        let pool = ThreadPool::new(4);
-        for (rows, cols) in [(128usize, 8usize), (37, 53), (200, 3), (5, 5), (1, 64)] {
-            let src: Vec<u64> = (0..(rows * cols) as u64).collect();
-            let mut serial = vec![0u64; src.len()];
-            let mut pooled = vec![0u64; src.len()];
-            transpose(&src, &mut serial, rows, cols);
-            transpose_pooled(&src, &mut pooled, rows, cols, &pool);
-            assert_eq!(serial, pooled, "rows={rows} cols={cols}");
-        }
-    }
-
-    #[test]
-    fn pooled_stride_permute_matches_serial() {
-        let pool = ThreadPool::new(3);
-        let n = 4096;
-        let v: Vec<u32> = (0..n as u32).collect();
-        for l in [2usize, 8, 64, 1024] {
-            let mut a = vec![0u32; n];
-            let mut b = vec![0u32; n];
-            stride_permute(&v, &mut a, l);
-            stride_permute_pooled(&v, &mut b, l, &pool);
-            assert_eq!(a, b, "l={l}");
-        }
-    }
-
-    #[test]
-    fn partial_transpose_is_the_full_transpose_restricted() {
-        for (rows, cols, keep) in [(6usize, 4usize, 2usize), (37, 53, 20), (100, 8, 4), (5, 5, 5), (9, 7, 0)] {
-            let src: Vec<u32> = (0..(rows * cols) as u32).collect();
-            let mut full = vec![0u32; rows * cols];
-            transpose(&src, &mut full, rows, cols);
-            let mut part = vec![0u32; rows * keep];
-            transpose_partial(&src, &mut part, rows, cols, keep);
-            assert_eq!(part, full[..rows * keep], "rows={rows} cols={cols} keep={keep}");
-        }
-    }
-
-    #[test]
-    fn pooled_partial_transpose_matches_serial_exactly() {
-        let pool = ThreadPool::new(4);
-        for (rows, cols, keep) in [(128usize, 8usize, 4usize), (200, 6, 3), (37, 53, 11), (1, 64, 32)] {
-            let src: Vec<u64> = (0..(rows * cols) as u64).collect();
-            let mut serial = vec![0u64; rows * keep];
-            let mut pooled = vec![0u64; rows * keep];
-            transpose_partial(&src, &mut serial, rows, cols, keep);
-            transpose_partial_pooled(&src, &mut pooled, rows, cols, keep, &pool);
-            assert_eq!(serial, pooled, "rows={rows} cols={cols} keep={keep}");
-        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 # baselines.
 #
 #   * pipeline phases — one traced serial pass at the baseline's N,
-#     per-phase total_ns vs BENCH_pipeline.json
+#     per-phase total_ns vs BENCH_pipeline.json; a phase whose baseline
+#     is under 0.1 ms (the few-KB wrap-buffer "halo") is reported but
+#     not compared, since a percentage bound on microseconds is noise
 #   * kernel report — per-engine ns_per_point vs BENCH_kernels.json
 #     (dispatch-dependent rows that exist only on some hosts, e.g. the
 #     portable-conv ablation row, are skipped when absent)
@@ -43,8 +45,10 @@ field() {
 }
 
 check_report() {
-    # $1 = section label; stdin = merged "B key value" / "F key value" lines
-    report="$(awk -v tol="$TOL" '
+    # $1 = section label; $2 = optional floor: rows whose baseline is
+    # below it are reported but not compared; stdin = merged
+    # "B key value" / "F key value" lines
+    report="$(awk -v tol="$TOL" -v floor="${2:-0}" '
         $1 == "B" { base[$2] = $3; order[n++] = $2 }
         $1 == "F" { fresh[$2] = $3 }
         END {
@@ -54,6 +58,10 @@ check_report() {
                 p = order[i]
                 if (!(p in fresh)) {
                     printf "  %-24s %14s %14s %9s\n", p, base[p], "-", "skipped"
+                    continue
+                }
+                if (base[p] < floor) {
+                    printf "  %-24s %14s %14s %9s\n", p, base[p], fresh[p], "not gated"
                     continue
                 }
                 d = (fresh[p] - base[p]) / base[p] * 100
@@ -128,7 +136,7 @@ else
             medians "$BASE" | sed 's/^/B /'
             phases "$FRESH" | sed 's/^/F /'
             medians "$FRESH" | sed 's/^/F /'
-        } | check_report pipeline
+        } | check_report pipeline 100000
     fi
 fi
 

@@ -30,6 +30,12 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace (every crate)"
 cargo test -q --offline --workspace
 
+echo "==> perfbench's own tests (both workloads at N=2^12, traced and untraced)"
+# The benchmark is a package of its own; its tests fail on a missing
+# trace span, a negative phase residual or a library API it can no
+# longer compile against, which otherwise only shows when it runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> determinism: two property-suite runs must exercise identical streams"
 run_props() {
     cargo test -q --offline --test properties 2>&1 \
