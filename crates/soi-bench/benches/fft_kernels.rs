@@ -47,7 +47,7 @@ fn bench_batch() {
     let mut g = Bencher::new("batch_fp").samples(20);
     for p in [16usize, 32, 64] {
         let rows = 4096;
-        let exec = soi_fft::batch::BatchFft::<f64>::new(p, soi_fft::Direction::Forward, 1);
+        let exec = soi_fft::batch::BatchFft::<f64>::new(p, soi_fft::Direction::Forward);
         let x = tone_mix(rows * p);
         g.throughput_elements((rows * p) as u64);
         let mut buf = x.clone();

@@ -149,8 +149,9 @@ pub struct JobGeometry {
     pub n: usize,
     /// SOI segment count P (must divide N).
     pub p: usize,
-    /// Decimal digits of accuracy requested.
-    pub digits: usize,
+    /// Decimal digits of accuracy requested (saturating: every count
+    /// above 13 selects the full-accuracy preset anyway).
+    pub digits: u32,
     /// Compute threads per rank.
     pub threads: usize,
 }
@@ -160,7 +161,7 @@ impl JobGeometry {
     pub fn from_args(a: &Args, default_n: usize, default_p: usize) -> Result<Self, ArgError> {
         let n = a.get_positive("n", default_n)?;
         let p = a.get_positive("p", default_p)?;
-        let digits = a.get_usize("digits", 15)?;
+        let digits = u32::try_from(a.get_usize("digits", 15)?).unwrap_or(u32::MAX);
         let threads = a.get_positive("threads", 1)?;
         if n % p != 0 {
             return Err(ArgError::Misaligned(format!(

@@ -8,6 +8,7 @@ use soi_simnet::{Cluster, Fabric, RankComm};
 use soi_trace::{Event, Trace, TraceSet};
 use soi_window::{design_compact, design_gaussian, design_two_param};
 use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Top-level usage text.
@@ -112,23 +113,12 @@ fn synthetic(n: usize) -> Vec<Complex64> {
         .collect()
 }
 
-fn preset_for_digits(digits: usize) -> Result<soi_window::AccuracyPreset, String> {
-    use soi_window::AccuracyPreset::*;
-    Ok(match digits {
-        0..=10 => Digits10,
-        11 => Digits11,
-        12 => Digits12,
-        13 => Digits13,
-        _ => Full,
-    })
-}
-
 /// `soi transform`.
 pub fn transform(a: &Args) -> CmdResult {
     a.restrict(&["n", "p", "digits", "band", "threads", "input"])?;
     let geo = JobGeometry::from_args(a, 1 << 16, 8)?;
     let JobGeometry { n, p, digits, threads } = geo;
-    let preset = preset_for_digits(digits)?;
+    let preset = soi_serve::preset_for_digits(digits);
     let params = SoiParams::with_preset(n, p, preset)?;
     let soi = SoiFft::new(&params)?;
     let cfg = *soi.config();
@@ -258,7 +248,7 @@ pub fn simulate(a: &Args) -> CmdResult {
     a.restrict(&["nodes", "points", "fabric", "digits", "trace"])?;
     let nodes = a.get_positive("nodes", 4)?;
     let points = a.get_positive("points", 1 << 14)?;
-    let digits = a.get_usize("digits", 15)?;
+    let digits = u32::try_from(a.get_usize("digits", 15)?).unwrap_or(u32::MAX);
     let trace_path: Option<String> = a
         .get("trace")
         .map(String::from)
@@ -271,7 +261,7 @@ pub fn simulate(a: &Args) -> CmdResult {
         other => return Err(format!("unknown fabric `{other}`").into()),
     };
     let n = nodes * points;
-    let preset = preset_for_digits(digits)?;
+    let preset = soi_serve::preset_for_digits(digits);
     let params = SoiParams::with_preset(n, nodes, preset)?;
     let dist = DistSoiFft::new(&params)?;
     // Pre-flight the partition so a bad rank count surfaces as a usage
@@ -440,7 +430,7 @@ fn decode_result(
 /// on, pre-flighting the partition so misconfiguration fails before any
 /// socket traffic.
 fn wire_plan(geo: &JobGeometry, ranks: usize) -> Result<DistSoiFft, Box<dyn std::error::Error>> {
-    let preset = preset_for_digits(geo.digits)?;
+    let preset = soi_serve::preset_for_digits(geo.digits);
     let params = SoiParams::with_preset(geo.n, geo.p, preset)?;
     let dist = DistSoiFft::new(&params)?;
     dist.segments_per_rank(ranks)?;
@@ -963,20 +953,19 @@ pub fn request(a: &Args) -> CmdResult {
         soi_serve::Samples::Complex(synthetic(n))
     };
     let count = a.get_positive("count", 1)? as u64;
-    let deadline_ms = a.get_usize("deadline-ms", 0)? as u64;
-    let tenant = a.get("tenant").unwrap_or("cli").to_string();
+    let req = soi_serve::Request {
+        id: 0,
+        tenant: a.get("tenant").unwrap_or("cli").to_string(),
+        n,
+        p,
+        digits,
+        kind,
+        arg,
+        deadline_ms: a.get_usize("deadline-ms", 0)? as u64,
+        samples,
+    };
     for id in 0..count {
-        client.send_request(&soi_serve::Request {
-            id,
-            tenant: tenant.clone(),
-            n,
-            p,
-            digits: digits as u32,
-            kind,
-            arg,
-            deadline_ms,
-            samples: samples.clone(),
-        })?;
+        client.send_request(&soi_serve::Request { id, ..req.clone() })?;
     }
     let mut responses = std::collections::BTreeMap::new();
     for _ in 0..count {
@@ -1005,7 +994,10 @@ pub fn request(a: &Args) -> CmdResult {
         total_ns as f64 / 1e6
     );
     if a.get_usize("check", 0)? == 1 {
-        let reference = local_reference(n, p, digits, kind, arg, &samples)?;
+        // The daemon's own dispatch, run here serially: the bitwise
+        // ground truth for `--check`.
+        let mut engine = soi_serve::Engine::build(n, p, digits, Arc::new(ThreadPool::serial()))?;
+        let reference = engine.execute(&req)?;
         for resp in responses.values() {
             if resp.bins.len() != reference.len() {
                 return Err(format!(
@@ -1016,7 +1008,7 @@ pub fn request(a: &Args) -> CmdResult {
                 )
                 .into());
             }
-            for (i, (got, want)) in resp.bins.iter().zip(&reference).enumerate() {
+            for (i, (got, want)) in resp.bins.iter().zip(reference).enumerate() {
                 if got.re.to_bits() != want.re.to_bits() || got.im.to_bits() != want.im.to_bits()
                 {
                     return Err(format!(
@@ -1042,40 +1034,6 @@ fn synthetic_real(n: usize) -> Vec<f64> {
             (t * 0.37).sin() + 0.4 * (t * 1.7).cos()
         })
         .collect()
-}
-
-/// Recompute a request locally, serially, through the same preset
-/// mapping the daemon uses — the bitwise ground truth for `--check`.
-fn local_reference(
-    n: usize,
-    p: usize,
-    digits: usize,
-    kind: soi_serve::RequestKind,
-    arg: usize,
-    samples: &soi_serve::Samples,
-) -> Result<Vec<Complex64>, Box<dyn std::error::Error>> {
-    let params = SoiParams::with_preset(n, p, preset_for_digits(digits)?)?;
-    let soi = SoiFft::new(&params)?;
-    use soi_serve::{RequestKind as K, Samples as S};
-    Ok(match (kind, samples) {
-        (K::Full, S::Complex(x)) => {
-            let mut ws = SoiWorkspace::new(&soi, 1);
-            let mut y = vec![Complex64::ZERO; n];
-            soi.transform_into(x, &mut y, &mut ws)?;
-            y
-        }
-        (K::Segment, S::Complex(x)) => soi.transform_segment(x, arg)?,
-        (K::Band, S::Complex(x)) => soi.transform_band(x, arg)?,
-        (K::RealFull, S::Real(x)) => {
-            let mut ws = SoiRealWorkspace::new(&soi, 1);
-            let mut y = vec![Complex64::ZERO; n / 2 + 1];
-            soi.transform_real_into(x, &mut y, &mut ws)?;
-            y
-        }
-        (K::RealSegment, S::Real(x)) => soi.transform_real_segment(x, arg)?,
-        (K::RealBand, S::Real(x)) => soi.transform_real_band(x, arg)?,
-        _ => return Err("request kind does not match sample domain".into()),
-    })
 }
 
 pub fn info(a: &Args) -> CmdResult {

@@ -25,6 +25,8 @@
 //! ([`ZoomTaps`]), on the same dispatch seam and interleaved tap layout.
 
 use crate::coeff::ConvCoefficients;
+use crate::error::SoiError;
+use crate::pipeline::nyquist_fold;
 use soi_num::{AlignedBuf, Complex64};
 use soi_pool::{part_range, SlicePtr, ThreadPool};
 
@@ -848,14 +850,57 @@ fn zoom_with<T: Sample>(
 }
 
 /// An input sample: [`Complex64`], or real `f64` (two real multiply-adds
-/// per tap instead of four). Complex and real input differ only in the
-/// kernels: the block convolution ([`convolve`] or [`convolve_real`]) and
-/// the zoom row dot product. The trait is sealed.
-pub trait Sample: row_dot::RowDot {}
+/// per tap instead of four). Complex and real input run one pipeline and
+/// differ only in the kernels (the block convolution, [`convolve`] or
+/// [`convolve_real`], and the zoom row dot product) and in the three
+/// facts below. The trait is sealed.
+pub trait Sample: row_dot::RowDot {
+    /// Share of the complex convolution's flops the kernel performs: 1,
+    /// or ½ for real input.
+    const CONV_FLOP_SHARE: f64;
 
-impl Sample for Complex64 {}
+    /// Lanes of each `F_P` group worth keeping: all `p`, or `0..P/2` for
+    /// real input, whose lane `P − s` is the conjugate mirror of lane `s`.
+    ///
+    /// # Errors
+    /// [`SoiError::BadSize`] for real input with an odd `p`: the
+    /// half-spectrum boundary must fall on a segment boundary.
+    fn kept_lanes(p: usize) -> Result<usize, SoiError>;
 
-impl Sample for f64 {}
+    /// This slice's partial of the exact Nyquist bin `Σ_j x_j·(−1)^j`,
+    /// the one bin kept lanes `0..P/2` cannot produce: none for complex
+    /// input, [`nyquist_fold`] for real input.
+    fn nyquist_partial(x: &[Self]) -> Option<f64>;
+}
+
+impl Sample for Complex64 {
+    const CONV_FLOP_SHARE: f64 = 1.0;
+
+    fn kept_lanes(p: usize) -> Result<usize, SoiError> {
+        Ok(p)
+    }
+
+    fn nyquist_partial(_: &[Self]) -> Option<f64> {
+        None
+    }
+}
+
+impl Sample for f64 {
+    const CONV_FLOP_SHARE: f64 = 0.5;
+
+    fn kept_lanes(p: usize) -> Result<usize, SoiError> {
+        if !p.is_multiple_of(2) {
+            return Err(SoiError::BadSize(format!(
+                "real-input transform needs an even segment count, got P = {p}"
+            )));
+        }
+        Ok(p / 2)
+    }
+
+    fn nyquist_partial(x: &[Self]) -> Option<f64> {
+        Some(nyquist_fold(x))
+    }
+}
 
 mod row_dot {
     #[cfg(target_arch = "x86_64")]

@@ -1,5 +1,5 @@
 //! The §8 exact factorization — the rediscovery of Edelman,
-//! McCorquodale & Toledo's "future FFT" [14] inside the SOI framework.
+//! McCorquodale & Toledo's "future FFT" \[14\] inside the SOI framework.
 //!
 //! §8: "Consider ŵ that is 1 on [0, M−1] and zero outside (−1, M). With
 //! no oversampling or truncation, our framework corresponds to an exact
@@ -13,7 +13,7 @@
 //! c_{jk} = (1/M) Σ_{ℓ=0}^{M−1} ω^ℓ,   ω = e^{ι2π(j/M − k/N)}."
 //!
 //! `W^(exact)` is dense (the rectangular ŵ has an abruptly-changing edge,
-//! so its time dual decays only like 1/t — the reason [14] needed the
+//! so its time dual decays only like 1/t — the reason \[14\] needed the
 //! fast multipole method and the reason the paper prefers smooth windows
 //! and sparse approximation). Here it is materialized densely at small N
 //! as executable evidence that the framework's claim is literally true:
@@ -71,12 +71,12 @@ pub fn exact_factorization_dft(x: &[Complex64], p: usize) -> Vec<Complex64> {
     }
     // I_M ⊗ F_P (plans from the shared process-wide cache).
     let planner = Planner::global();
-    BatchFft::with_plan(planner.forward(p), 1).execute(&mut v);
+    BatchFft::with_plan(planner.forward(p)).execute(&mut v);
     // P_perm^{P,N}: group-major (j, s) → segment-major (s, j).
     let mut seg = vec![Complex64::ZERO; n];
     stride_permute(&v, &mut seg, m);
     // I_P ⊗ F_M.
-    BatchFft::with_plan(planner.forward(m), 1).execute(&mut seg);
+    BatchFft::with_plan(planner.forward(m)).execute(&mut seg);
     seg
 }
 

@@ -54,7 +54,7 @@ impl SoiFft {
         Ok(Self {
             cfg,
             coeffs,
-            batch_p: BatchFft::with_plan(planner.plan(cfg.p, Direction::Forward), 1),
+            batch_p: BatchFft::with_plan(planner.plan(cfg.p, Direction::Forward)),
             plan_m: planner.plan(cfg.m_prime, Direction::Forward),
         })
     }
@@ -119,16 +119,30 @@ impl SoiFft {
         y: &mut [Complex64],
         ws: &mut SoiWorkspace,
     ) -> Result<(), SoiError> {
+        self.execute(x, y, ws)
+    }
+
+    /// Stages 1–4 for either input type: `y` receives the kept lanes'
+    /// segments, then for real input the Nyquist bin.
+    fn execute<T: Sample>(
+        &self,
+        x: &[T],
+        y: &mut [Complex64],
+        ws: &mut SoiWorkspace<T>,
+    ) -> Result<(), SoiError> {
         let cfg = &self.cfg;
+        let keep = T::kept_lanes(cfg.p)?;
         if x.len() != cfg.n {
             return Err(SoiError::BadInput {
                 expected: cfg.n,
                 got: x.len(),
             });
         }
-        if y.len() != cfg.n {
+        // Keeping half the lanes leaves the Nyquist bin to add: N/2 + 1.
+        let bins = keep * cfg.m + usize::from(keep < cfg.p);
+        if y.len() != bins {
             return Err(SoiError::BadInput {
-                expected: cfg.n,
+                expected: bins,
                 got: y.len(),
             });
         }
@@ -144,12 +158,17 @@ impl SoiFft {
         } = ws;
         // Stages 1–3, block by block: convolution, M' independent F_P,
         // and the stride permutation group-major (j,s) → segment-major
-        // (s,j). In the distributed algorithm stage 3 is the all-to-all.
+        // (s,j) of the kept lanes. In the distributed algorithm stage 3
+        // is the all-to-all.
         let block = self.front_block_chunks();
         let halo = &x[..cfg.halo_len()];
-        self.front_end_with(x, halo, seg, cfg.p, front, block, pool, trace);
+        self.front_end_with(x, halo, seg, keep, front, block, pool, trace);
         trace.span_begin("fft_m", None);
-        self.segments_into(seg, y, cfg.p, pool, scratch, *stride);
+        self.segments_into(seg, y, keep, pool, scratch, *stride);
+        // The Nyquist bin is exact and costs O(N): y_{N/2} = Σ x_j(−1)^j.
+        if let Some(nyquist) = T::nyquist_partial(x) {
+            y[keep * cfg.m] = Complex64::new(nyquist, 0.0);
+        }
         trace.span_end("fft_m", None);
         Ok(())
     }
@@ -242,88 +261,7 @@ impl SoiFft {
         y: &mut [Complex64],
         ws: &mut SoiRealWorkspace,
     ) -> Result<(), SoiError> {
-        let cfg = &self.cfg;
-        if cfg.p % 2 != 0 {
-            return Err(SoiError::BadSize(format!(
-                "real-input transform needs an even segment count, got P = {}",
-                cfg.p
-            )));
-        }
-        if x.len() != cfg.n {
-            return Err(SoiError::BadInput {
-                expected: cfg.n,
-                got: x.len(),
-            });
-        }
-        let half = cfg.n / 2 + 1;
-        if y.len() != half {
-            return Err(SoiError::BadInput {
-                expected: half,
-                got: y.len(),
-            });
-        }
-        ws.check(self)?;
-        let SoiRealWorkspace {
-            pool,
-            seg,
-            front,
-            scratch,
-            stride,
-            trace,
-            ..
-        } = ws;
-        let ph = cfg.p / 2;
-        // Stages 1–3 with the real convolution kernel, keeping lanes
-        // 0..P/2 of each F_P group (the conjugate-even pack). In the
-        // distributed algorithm this is the halved all-to-all.
-        let block = self.front_block_chunks();
-        let halo = &x[..cfg.halo_len()];
-        self.front_end_with(x, halo, seg, ph, front, block, pool, trace);
-        trace.span_begin("fft_m", None);
-        self.segments_into(seg, y, ph, pool, scratch, *stride);
-        // The Nyquist bin is exact and costs O(N): y_{N/2} = Σ x_j(−1)^j.
-        y[cfg.n / 2] = Complex64::new(nyquist_fold(x), 0.0);
-        trace.span_end("fft_m", None);
-        Ok(())
-    }
-
-    /// Compute only segment `s` of a **real** signal's spectrum —
-    /// `y_k for k ∈ [sM, (s+1)M)` — the r2c counterpart of
-    /// [`Self::transform_segment`]. Any `s < P` is allowed (the mirror
-    /// segments are still well-defined bins, just redundant).
-    pub fn transform_real_segment(
-        &self,
-        x: &[f64],
-        s: usize,
-    ) -> Result<Vec<Complex64>, SoiError> {
-        self.transform_real_segment_pooled(x, s, &ThreadPool::serial())
-    }
-
-    /// [`Self::transform_real_segment`] executed on a worker pool (same
-    /// determinism guarantee as [`Self::transform_segment_pooled`]).
-    pub fn transform_real_segment_pooled(
-        &self,
-        x: &[f64],
-        s: usize,
-        pool: &ThreadPool,
-    ) -> Result<Vec<Complex64>, SoiError> {
-        self.zoom(x, self.segment_start(s)?, pool)
-    }
-
-    /// Compute an arbitrary length-`M` band of a **real** signal's
-    /// spectrum: the r2c counterpart of [`Self::transform_band`].
-    pub fn transform_real_band(&self, x: &[f64], k0: usize) -> Result<Vec<Complex64>, SoiError> {
-        self.transform_real_band_pooled(x, k0, &ThreadPool::serial())
-    }
-
-    /// [`Self::transform_real_band`] executed on a worker pool.
-    pub fn transform_real_band_pooled(
-        &self,
-        x: &[f64],
-        k0: usize,
-        pool: &ThreadPool,
-    ) -> Result<Vec<Complex64>, SoiError> {
-        self.zoom(x, k0, pool)
+        self.execute(x, y, ws)
     }
 
     /// Inverse transform: recover `x` from a spectrum `y` such that
@@ -340,7 +278,9 @@ impl SoiFft {
     }
 
     /// Compute only segment `s` of the spectrum —
-    /// `y_k for k ∈ [sM, (s+1)M)` — without touching the other segments.
+    /// `y_k for k ∈ [sM, (s+1)M)` — without touching the other segments,
+    /// for complex or real input (for real input the segments `P/2..P`
+    /// are redundant mirror bins, but still allowed).
     ///
     /// This is the Fig 1 story: by the DFT shift theorem of §5 the
     /// segment is segment 0 of the phase-shifted input, which one
@@ -349,25 +289,35 @@ impl SoiFft {
     /// ([`Self::transform_band`]), bit for bit. Cost: `O(M'·BP + M' log M')`.
     ///
     /// Returns [`SoiError::BadSize`] unless `s < P`.
-    pub fn transform_segment(&self, x: &[Complex64], s: usize) -> Result<Vec<Complex64>, SoiError> {
+    pub fn transform_segment<T: Sample>(
+        &self,
+        x: &[T],
+        s: usize,
+    ) -> Result<Vec<Complex64>, SoiError> {
         self.transform_segment_pooled(x, s, &ThreadPool::serial())
     }
 
     /// [`Self::transform_segment`] executed on a worker pool: the row
     /// convolutions fan out across workers with deterministic chunking,
     /// so the result is bitwise identical to the serial path.
-    pub fn transform_segment_pooled(
+    pub fn transform_segment_pooled<T: Sample>(
         &self,
-        x: &[Complex64],
+        x: &[T],
         s: usize,
         pool: &ThreadPool,
     ) -> Result<Vec<Complex64>, SoiError> {
-        self.zoom(x, self.segment_start(s)?, pool)
+        if s >= self.cfg.p {
+            return Err(SoiError::BadSize(format!(
+                "segment {s} out of range (P = {})",
+                self.cfg.p
+            )));
+        }
+        self.transform_band_pooled(x, s * self.cfg.m, pool)
     }
 
     /// Compute an *arbitrary* length-`M` band of the spectrum:
-    /// `y_k for k ∈ [k0, k0+M)`, any `k0 < N` — a "zoom FFT" built from
-    /// the same machinery.
+    /// `y_k for k ∈ [k0, k0+M)`, any `k0 < N`, for complex or real input —
+    /// a "zoom FFT" built from the same machinery.
     ///
     /// The band is segment 0 of `x_l·e^{−2πi·k0·l/N}`. That phase is
     /// never applied to `x`: it folds into the taps and a per-block
@@ -375,36 +325,21 @@ impl SoiFft {
     /// `O(M'·BP + M' log M')`.
     ///
     /// Returns [`SoiError::BadSize`] unless `k0 < N`.
-    pub fn transform_band(&self, x: &[Complex64], k0: usize) -> Result<Vec<Complex64>, SoiError> {
+    pub fn transform_band<T: Sample>(
+        &self,
+        x: &[T],
+        k0: usize,
+    ) -> Result<Vec<Complex64>, SoiError> {
         self.transform_band_pooled(x, k0, &ThreadPool::serial())
     }
 
     /// [`Self::transform_band`] executed on a worker pool (same
     /// determinism guarantee as [`Self::transform_segment_pooled`]).
-    pub fn transform_band_pooled(
-        &self,
-        x: &[Complex64],
-        k0: usize,
-        pool: &ThreadPool,
-    ) -> Result<Vec<Complex64>, SoiError> {
-        self.zoom(x, k0, pool)
-    }
-
-    /// First bin `s·M` of segment `s`, or `BadSize` unless `s < P`.
-    fn segment_start(&self, s: usize) -> Result<usize, SoiError> {
-        if s >= self.cfg.p {
-            return Err(SoiError::BadSize(format!(
-                "segment {s} out of range (P = {})",
-                self.cfg.p
-            )));
-        }
-        Ok(s * self.cfg.m)
-    }
-
-    /// The one segment/band path: the `M'` zoom rows
-    /// ([`zoom_pooled`]), then one `F_{M'}` with the projection and
-    /// demodulation fused into its output pass.
-    fn zoom<T: Sample>(
+    ///
+    /// The one segment/band path: the `M'` zoom rows ([`zoom_pooled`]),
+    /// then one `F_{M'}` with the projection and demodulation fused into
+    /// its output pass.
+    pub fn transform_band_pooled<T: Sample>(
         &self,
         x: &[T],
         k0: usize,
@@ -702,7 +637,7 @@ mod tests {
                     format!("segment {s}"),
                 );
                 check(
-                    soi.transform_real_segment(&xr, s).unwrap(),
+                    soi.transform_segment(&xr, s).unwrap(),
                     zoom_oracle(&soi, &xrc, k0),
                     format!("real segment {s}"),
                 );
@@ -714,7 +649,7 @@ mod tests {
                     format!("band {k0}"),
                 );
                 check(
-                    soi.transform_real_band(&xr, k0).unwrap(),
+                    soi.transform_band(&xr, k0).unwrap(),
                     zoom_oracle(&soi, &xrc, k0),
                     format!("real band {k0}"),
                 );
@@ -734,17 +669,17 @@ mod tests {
             let results = [
                 ("segment", soi.transform_segment(&x, s)),
                 ("segment_pooled", soi.transform_segment_pooled(&x, s, &pool)),
-                ("real_segment", soi.transform_real_segment(&xr, s)),
+                ("real_segment", soi.transform_segment(&xr, s)),
                 (
                     "real_segment_pooled",
-                    soi.transform_real_segment_pooled(&xr, s, &pool),
+                    soi.transform_segment_pooled(&xr, s, &pool),
                 ),
                 ("band", soi.transform_band(&x, k0)),
                 ("band_pooled", soi.transform_band_pooled(&x, k0, &pool)),
-                ("real_band", soi.transform_real_band(&xr, k0)),
+                ("real_band", soi.transform_band(&xr, k0)),
                 (
                     "real_band_pooled",
-                    soi.transform_real_band_pooled(&xr, k0, &pool),
+                    soi.transform_band_pooled(&xr, k0, &pool),
                 ),
             ];
             for (what, r) in results {
@@ -1139,20 +1074,20 @@ mod tests {
         let x = real_signal(1 << 12);
         let y = soi.transform_real(&x).unwrap();
         for s in 0..cfg.p / 2 {
-            let seg = soi.transform_real_segment(&x, s).unwrap();
+            let seg = soi.transform_segment(&x, s).unwrap();
             let err = rel_l2_error(&seg, &y[s * cfg.m..(s + 1) * cfg.m]);
             assert!(err < 1e-10, "segment {s}: {err:e}");
         }
         // A mirror-half segment reproduces the conjugate bins.
-        let seg = soi.transform_real_segment(&x, cfg.p - 1).unwrap();
+        let seg = soi.transform_segment(&x, cfg.p - 1).unwrap();
         let bound = cfg.predicted_error() * cfg.n as f64;
         for i in (1..cfg.m).step_by(131) {
             let mirror = y[cfg.n - ((cfg.p - 1) * cfg.m + i)].conj();
             assert!((seg[i] - mirror).abs() < bound, "mirror bin {i}");
         }
         // Band at an aligned offset is the segment API, bit for bit.
-        let band = soi.transform_real_band(&x, cfg.m).unwrap();
-        let seg1 = soi.transform_real_segment(&x, 1).unwrap();
+        let band = soi.transform_band(&x, cfg.m).unwrap();
+        let seg1 = soi.transform_segment(&x, 1).unwrap();
         assert_eq!(bits(&band), bits(&seg1));
     }
 

@@ -1,11 +1,13 @@
 //! Reusable execution state for the SOI pipeline: one worker pool plus
-//! every intermediate buffer [`SoiFft::transform_into`] touches.
+//! every intermediate buffer [`SoiFft::transform_into`] and
+//! [`SoiFft::transform_real_into`] touch.
 //!
-//! The transform needs one `O(N')` buffer, the segment-major output of
-//! the front end, plus per-worker `F_{M'}` scratch and the blocked front
-//! end's small arena (one L2-sized stripe per worker and the wrap
-//! buffer; see [`crate::front`]). A [`SoiWorkspace`] holds them all,
-//! built once per configuration, so steady-state calls allocate nothing
+//! The transform needs one segment-major buffer, the output of the front
+//! end (`N'` values, or the kept `P/2` lanes' half of it for real input),
+//! plus per-worker `F_{M'}` scratch and the blocked front end's small
+//! arena (one L2-sized stripe per worker and the wrap buffer; see
+//! [`crate::front`]). A [`SoiWorkspace`] holds them all, built once per
+//! configuration and input type, so steady-state calls allocate nothing
 //! and the worker pool persists across calls (spawn once, park between
 //! jobs).
 //!
@@ -16,6 +18,7 @@
 //! of the same transform is the intended pattern and never requires
 //! re-zeroing — every buffer region that is read is written first.
 
+use crate::conv::Sample;
 use crate::error::SoiError;
 use crate::front::FrontArena;
 use crate::pipeline::SoiFft;
@@ -24,29 +27,36 @@ use soi_pool::ThreadPool;
 use soi_trace::Trace;
 use std::sync::Arc;
 
-/// Preallocated buffers + worker pool for allocation-free SOI execution.
+/// Preallocated buffers + worker pool for allocation-free SOI execution
+/// on input samples of type `T` ([`Complex64`], or `f64` for the
+/// real-input transform: see [`SoiRealWorkspace`]).
 #[derive(Debug)]
-pub struct SoiWorkspace {
+pub struct SoiWorkspace<T = Complex64> {
     pub(crate) pool: Arc<ThreadPool>,
-    /// Stride-permuted segment buffer (`N'`). The arena buffers are
-    /// [`AlignedBuf`]s: a plain `Vec` this large is mmap-served at a
-    /// 16-byte offset, which costs the SIMD kernels ~25% in straddled
-    /// cache-line loads.
+    /// Segment buffer: the kept lanes' `M'` rows (`P`, or `P/2` for real
+    /// input). The arena buffers are [`AlignedBuf`]s: a plain `Vec` this
+    /// large is mmap-served at a 16-byte offset, which costs the SIMD
+    /// kernels ~25% in straddled cache-line loads.
     pub(crate) seg: AlignedBuf<Complex64>,
     /// The front end's per-worker stripes and wrap buffer.
-    pub(crate) front: FrontArena<Complex64>,
+    pub(crate) front: FrontArena<T>,
     /// Per-worker FFT scratch arena: `threads` stripes of `stride`.
     pub(crate) scratch: AlignedBuf<Complex64>,
     /// Stripe width of `scratch` (max engine scratch length).
     pub(crate) stride: usize,
     /// Configuration fingerprint: `(n, p, m_prime, halo_len)`.
     pub(crate) shape: (usize, usize, usize, usize),
-    /// Phase-span recorder for [`SoiFft::transform_into`] (disabled by
-    /// default — a null check per stage, no allocation).
+    /// Phase-span recorder for the transform (disabled by default — a
+    /// null check per stage, no allocation).
     pub(crate) trace: Trace,
 }
 
-impl SoiWorkspace {
+/// The workspace of the real-input (r2c) transform
+/// [`SoiFft::transform_real_into`]: its wrap buffer holds reals, and its
+/// segment buffer only the `P/2` segments the Hermitian fold keeps.
+pub type SoiRealWorkspace = SoiWorkspace<f64>;
+
+impl<T: Sample> SoiWorkspace<T> {
     /// Build a workspace for `soi` with a fresh pool of `threads` workers
     /// (`1` = fully serial, spawns no threads).
     pub fn new(soi: &SoiFft, threads: usize) -> Self {
@@ -64,8 +74,11 @@ impl SoiWorkspace {
             // every worker's stripe starts 64-byte aligned, not just the
             // arena base.
             .next_multiple_of(4);
+        // A configuration this input type cannot run (real input with an
+        // odd P) gets no segment buffer; the transform rejects it.
+        let keep = T::kept_lanes(cfg.p).unwrap_or(0);
         Self {
-            seg: AlignedBuf::zeroed(cfg.n_prime),
+            seg: AlignedBuf::zeroed(keep * cfg.m_prime),
             front: FrontArena::new(soi, cfg.n, pool.threads()),
             scratch: AlignedBuf::zeroed(pool.threads() * stride),
             stride,
@@ -75,10 +88,10 @@ impl SoiWorkspace {
         }
     }
 
-    /// Attach a trace handle: subsequent [`SoiFft::transform_into`] calls
-    /// on this workspace emit the pipeline stage spans ("halo", "conv",
-    /// "fft_p", "pack", "fft_m"; the middle three once per front-end
-    /// block of the calling worker). Pass [`Trace::disabled`] to detach.
+    /// Attach a trace handle: subsequent transforms on this workspace
+    /// emit the pipeline stage spans ("halo", "conv", "fft_p", "pack",
+    /// "fft_m"; the middle three once per front-end block of the calling
+    /// worker). Pass [`Trace::disabled`] to detach.
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
@@ -122,101 +135,6 @@ impl SoiWorkspace {
     }
 }
 
-/// Preallocated buffers + worker pool for the **real-input** (r2c)
-/// transform [`SoiFft::transform_real_into`].
-///
-/// Identical arena discipline to [`SoiWorkspace`], with the real-path
-/// shapes: the wrap buffer holds *reals*, and the segment buffer holds
-/// only the non-redundant `P/2` segments the Hermitian fold keeps.
-#[derive(Debug)]
-pub struct SoiRealWorkspace {
-    pub(crate) pool: Arc<ThreadPool>,
-    /// Segment buffer: the first `P/2` segments of `M'`.
-    pub(crate) seg: AlignedBuf<Complex64>,
-    /// The front end's per-worker stripes and real wrap buffer.
-    pub(crate) front: FrontArena<f64>,
-    /// Per-worker FFT scratch arena: `threads` stripes of `stride`.
-    pub(crate) scratch: AlignedBuf<Complex64>,
-    /// Stripe width of `scratch` (max engine scratch length).
-    pub(crate) stride: usize,
-    /// Configuration fingerprint: `(n, p, m_prime, halo_len)`.
-    pub(crate) shape: (usize, usize, usize, usize),
-    /// Phase-span recorder (disabled by default).
-    pub(crate) trace: Trace,
-}
-
-impl SoiRealWorkspace {
-    /// Build a real-input workspace for `soi` with a fresh pool of
-    /// `threads` workers (`1` = fully serial, spawns no threads).
-    pub fn new(soi: &SoiFft, threads: usize) -> Self {
-        Self::with_pool(soi, Arc::new(ThreadPool::new(threads)))
-    }
-
-    /// Build a real-input workspace for `soi` on an existing pool.
-    pub fn with_pool(soi: &SoiFft, pool: Arc<ThreadPool>) -> Self {
-        let cfg = soi.config();
-        let stride = soi
-            .batch_p()
-            .scratch_len()
-            .max(soi.plan_m().scratch_len())
-            .next_multiple_of(4);
-        Self {
-            seg: AlignedBuf::zeroed(cfg.p / 2 * cfg.m_prime),
-            front: FrontArena::new(soi, cfg.n, pool.threads()),
-            scratch: AlignedBuf::zeroed(pool.threads() * stride),
-            stride,
-            shape: (cfg.n, cfg.p, cfg.m_prime, cfg.halo_len()),
-            trace: Trace::disabled(),
-            pool,
-        }
-    }
-
-    /// Attach a trace handle: subsequent [`SoiFft::transform_real_into`]
-    /// calls emit the same stage spans as [`SoiWorkspace::set_trace`].
-    /// Pass [`Trace::disabled`] to detach.
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
-    }
-
-    /// The currently attached trace handle.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The worker pool this workspace executes on.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-
-    /// Shared handle to the pool (for building sibling workspaces).
-    pub fn pool_arc(&self) -> Arc<ThreadPool> {
-        Arc::clone(&self.pool)
-    }
-
-    /// Worker count, caller included.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Verify this workspace was built for `soi`'s configuration.
-    pub(crate) fn check(&self, soi: &SoiFft) -> Result<(), SoiError> {
-        let cfg = soi.config();
-        let want = (cfg.n, cfg.p, cfg.m_prime, cfg.halo_len());
-        let stride = soi
-            .batch_p()
-            .scratch_len()
-            .max(soi.plan_m().scratch_len());
-        if self.shape != want || self.stride < stride {
-            return Err(SoiError::WorkspaceMismatch(format!(
-                "real workspace built for (n, p, m', halo) = {:?} with scratch stride {}, \
-                 transform needs {:?} with stride {}",
-                self.shape, self.stride, want, stride
-            )));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +166,7 @@ mod tests {
         let soi =
             SoiFft::new(&SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap())
                 .unwrap();
-        let ws = SoiWorkspace::new(&soi, 3);
+        let ws: SoiWorkspace = SoiWorkspace::new(&soi, 3);
         let want = soi
             .batch_p()
             .scratch_len()
@@ -267,9 +185,9 @@ mod tests {
         let soi =
             SoiFft::new(&SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap())
                 .unwrap();
-        let ws = SoiWorkspace::new(&soi, 3);
+        let ws: SoiWorkspace = SoiWorkspace::new(&soi, 3);
         assert_eq!(ws.threads(), 3);
-        let sibling = SoiWorkspace::with_pool(&soi, ws.pool_arc());
+        let sibling: SoiWorkspace = SoiWorkspace::with_pool(&soi, ws.pool_arc());
         assert_eq!(sibling.threads(), 3);
     }
 }

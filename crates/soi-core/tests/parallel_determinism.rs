@@ -70,8 +70,8 @@ fn segment_and_band_pooled_match_serial_bitwise() {
                 bits(&pooled),
                 "segment {s}, {workers} workers"
             );
-            let serial = soi.transform_real_segment(&xr, s).unwrap();
-            let pooled = soi.transform_real_segment_pooled(&xr, s, &pool).unwrap();
+            let serial = soi.transform_segment(&xr, s).unwrap();
+            let pooled = soi.transform_segment_pooled(&xr, s, &pool).unwrap();
             assert_eq!(
                 bits(&serial),
                 bits(&pooled),
@@ -86,8 +86,8 @@ fn segment_and_band_pooled_match_serial_bitwise() {
                 bits(&pooled),
                 "band k0={k0}, {workers} workers"
             );
-            let serial = soi.transform_real_band(&xr, k0).unwrap();
-            let pooled = soi.transform_real_band_pooled(&xr, k0, &pool).unwrap();
+            let serial = soi.transform_band(&xr, k0).unwrap();
+            let pooled = soi.transform_band_pooled(&xr, k0, &pool).unwrap();
             assert_eq!(
                 bits(&serial),
                 bits(&pooled),

@@ -65,7 +65,7 @@ impl BaselineFft {
             p,
             m,
             plan_m: planner.plan(m, Direction::Forward),
-            batch_p: BatchFft::with_plan(planner.plan(p, Direction::Forward), 1),
+            batch_p: BatchFft::with_plan(planner.plan(p, Direction::Forward)),
             variant,
         }
     }

@@ -1,8 +1,8 @@
 //! The transport seam: one trait, two fabrics.
 //!
 //! Every distributed algorithm in this crate ([`crate::soi::DistSoiFft`],
-//! [`crate::baseline::BaselineFft`], [`crate::fft2d::Dist2dFft`], the
-//! distributed transpose) is written against [`Communicator`] — the
+//! [`crate::baseline::BaselineFft`], the distributed transpose) is
+//! written against [`Communicator`] — the
 //! abstract surface of a blocking-MPI-style rank endpoint. Two
 //! implementations exist:
 //!

@@ -21,7 +21,6 @@
 pub mod baseline;
 pub mod comm;
 pub mod dtranspose;
-pub mod fft2d;
 pub mod rates;
 pub mod recover;
 pub mod soi;

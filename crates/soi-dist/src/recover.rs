@@ -37,7 +37,7 @@
 
 use crate::comm::Communicator;
 use crate::rates::ChargePolicy;
-use crate::soi::DistSoiFft;
+use crate::soi::{DistSoiFft, ExchangeSchedule};
 use crate::times::PhaseTimes;
 use soi_core::SoiError;
 use soi_num::Complex64;
@@ -278,7 +278,8 @@ where
     let cfg = *dist.config();
     let rank = comm.rank();
     let ranks = comm.size();
-    dist.run_with_hooks(comm, x_local, policy, pool, |comm, k| {
+    let schedule = ExchangeSchedule::from_env();
+    dist.run_with_hooks(comm, x_local, policy, pool, schedule, |comm, k| {
         let ckpt = Checkpoint {
             epoch,
             rank: rank as u32,

@@ -28,10 +28,12 @@
 use crate::comm::Communicator;
 use crate::rates::{ChargePolicy, WorkKind};
 use crate::times::PhaseTimes;
+use soi_core::conv::Sample;
 use soi_core::{SoiError, SoiFft, SoiParams};
 use soi_fft::flops::{conv_flops, fft_flops};
 use soi_num::Complex64;
 use soi_pool::{part_range, SlicePtr, ThreadPool};
+use soi_wire::Pod;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -106,21 +108,28 @@ impl DistSoiFft {
     /// would not align with the μ-row coefficient chunks. Call sites that
     /// want the old abort-on-misconfiguration behaviour use `.expect()`.
     pub fn segments_per_rank(&self, ranks: usize) -> Result<usize, SoiError> {
+        self.owned_segments::<Complex64>(ranks)
+    }
+
+    /// Segments each of `ranks` ranks owns for input type `T`: the kept
+    /// lanes (`P`, or `P/2` for real input) over `R`.
+    fn owned_segments<T: Sample>(&self, ranks: usize) -> Result<usize, SoiError> {
         let cfg = self.soi.config();
-        if ranks < 1 || cfg.p % ranks != 0 {
+        let keep = T::kept_lanes(cfg.p)?;
+        if ranks < 1 || !keep.is_multiple_of(ranks) {
             return Err(SoiError::BadRankCount(format!(
-                "rank count {ranks} must divide segment count P = {}",
+                "rank count {ranks} must divide segment count {keep} (the kept lanes of P = {})",
                 cfg.p
             )));
         }
         let rows = cfg.m_prime / ranks;
-        if rows % cfg.mu != 0 {
+        if !rows.is_multiple_of(cfg.mu) {
             return Err(SoiError::BadAlignment(format!(
                 "rows per rank {rows} must align with mu = {} chunks",
                 cfg.mu
             )));
         }
-        Ok(cfg.p / ranks)
+        Ok(keep / ranks)
     }
 
     /// Execute on one rank of an `R`-rank cluster, `R` dividing `P`.
@@ -151,11 +160,45 @@ impl DistSoiFft {
         policy: ChargePolicy,
         pool: &ThreadPool,
     ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        self.run_with_hooks(comm, x_local, policy, pool, |_, _| Ok(()))
+        let schedule = ExchangeSchedule::from_env();
+        self.run_with_hooks(comm, x_local, policy, pool, schedule, |_, _| Ok(()))
     }
 
-    /// [`Self::run_with`] with a callback at every phase boundary — the
-    /// seam the checkpoint/recovery layer ([`crate::recover`]) hangs off.
+    /// Real-input (r2c) transform on one rank of an `R`-rank cluster,
+    /// with per-rank compute fanned across `pool` (bitwise identical to
+    /// the serial run for any worker count).
+    ///
+    /// `x_local` is this rank's `N/R` **real** samples. The pipeline is
+    /// the complex [`Self::run_with`] with the redundancy of a real signal
+    /// removed at every layer: the halo moves raw `f64`s (half the
+    /// bytes), the convolution runs the halved real kernel, and — the
+    /// headline — the all-to-all carries only the first `P/2` segments,
+    /// since conjugate symmetry (`X[N−k] = conj(X[k])`) makes segments
+    /// `P/2..P` derivable from the kept half. The exchange volume is
+    /// therefore half the complex transform's. `R` must divide `P/2`.
+    ///
+    /// Each rank returns the `(P/2)/R · M` packed half-spectrum bins of
+    /// its owned half-segments; the LAST rank additionally appends the
+    /// Nyquist bin `y[N/2]`, so concatenating rank outputs yields the
+    /// same `N/2 + 1`-point packed half-spectrum as
+    /// [`soi_core::SoiFft::transform_real`].
+    pub fn run_real_with<C: Communicator>(
+        &self,
+        comm: &mut C,
+        x_local: &[f64],
+        policy: ChargePolicy,
+        pool: &ThreadPool,
+    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
+        let schedule = ExchangeSchedule::from_env();
+        self.run_with_hooks(comm, x_local, policy, pool, schedule, |_, _| Ok(()))
+    }
+
+    /// The run body behind [`Self::run_with`] and [`Self::run_real_with`],
+    /// for complex or real input (`T`), with the exchange schedule pinned
+    /// and a callback at every phase boundary — the seam the
+    /// checkpoint/recovery layer ([`crate::recover`]) hangs off and the
+    /// equivalence tests use to compare both schedules in one process.
+    /// The two schedules produce bitwise-identical output.
     ///
     /// `hook(comm, k)` fires at boundary `k ∈ 0..=7`: `0` before the halo
     /// exchange, then after each phase in pipeline order — `1` halo,
@@ -169,48 +212,30 @@ impl DistSoiFft {
     ///
     /// The convolution, F_P batch and pack run block by block as one
     /// front end ([`SoiFft::front_end`]), so boundaries `2`, `3` and `4`
-    /// fire back-to-back after it. Under the default
-    /// [`ExchangeSchedule::Overlapped`] schedule the exchange, F_{M'},
-    /// and demodulation fuse into one streamed region; boundaries `5` and
-    /// `6` then fire back-to-back after it. Both checkpoint consumers
-    /// store phase *inputs*, so replay from any boundary is
-    /// schedule-independent.
-    pub fn run_with_hooks<C, F>(
+    /// fire back-to-back after it. Under [`ExchangeSchedule::Overlapped`]
+    /// the exchange, F_{M'}, and demodulation fuse into one streamed
+    /// region; boundaries `5`, `6` and `7` then fire back-to-back after
+    /// it. Both checkpoint consumers store phase *inputs*, so replay from
+    /// any boundary is schedule-independent. Real input adds the Nyquist
+    /// all-reduce at the start of phase 5, charged to the exchange.
+    pub fn run_with_hooks<T, C, F>(
         &self,
         comm: &mut C,
-        x_local: &[Complex64],
-        policy: ChargePolicy,
-        pool: &ThreadPool,
-        hook: F,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError>
-    where
-        C: Communicator,
-        F: FnMut(&mut C, usize) -> Result<(), SoiError>,
-    {
-        self.run_with_hooks_scheduled(comm, x_local, policy, pool, ExchangeSchedule::from_env(), hook)
-    }
-
-    /// [`Self::run_with_hooks`] with the exchange schedule pinned
-    /// explicitly instead of read from `SOI_NO_OVERLAP` — the seam the
-    /// equivalence tests use to compare both schedules inside one
-    /// process. The two schedules produce bitwise-identical output.
-    pub fn run_with_hooks_scheduled<C, F>(
-        &self,
-        comm: &mut C,
-        x_local: &[Complex64],
+        x_local: &[T],
         policy: ChargePolicy,
         pool: &ThreadPool,
         schedule: ExchangeSchedule,
         mut hook: F,
     ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError>
     where
+        T: Sample + Pod,
         C: Communicator,
         F: FnMut(&mut C, usize) -> Result<(), SoiError>,
     {
         let cfg = *self.soi.config();
         let ranks = comm.size();
-        let c = self.segments_per_rank(ranks)?;
-        let local_pts = c * cfg.m;
+        let c = self.owned_segments::<T>(ranks)?;
+        let local_pts = cfg.n / ranks;
         if x_local.len() != local_pts {
             return Err(SoiError::BadInput {
                 expected: local_pts,
@@ -219,17 +244,25 @@ impl DistSoiFft {
         }
         let rank = comm.rank();
         let p = cfg.p;
+        let keep = c * ranks; // lanes kept: P, or P/2 for real input
         let rows = cfg.m_prime / ranks; // P-groups computed on this rank
+        let out_pts = c * cfg.m; // owned output bins
         let mut times = PhaseTimes::default();
         // Cloned handle so phase spans interleave with `&mut comm` calls;
         // clones share one buffer (disabled outside traced runs).
         let trace = comm.trace_handle();
+        // Charge one phase as its own modeled work item.
+        let charge = |comm: &mut C, kind: WorkKind, work: f64, wall: f64| {
+            let dt = policy.charge(kind, work, wall);
+            comm.charge_compute(dt);
+            dt
+        };
 
         hook(comm, 0)?;
 
         // 1. Halo exchange: my first halo_len points go to the LEFT
         // neighbor (whose window overruns into my block); I receive the
-        // prefix of my RIGHT neighbor.
+        // prefix of my RIGHT neighbor. Real input moves raw f64s.
         trace.span_begin("halo", comm.clock_now());
         let c0 = comm.comm_seconds();
         let left = (rank + ranks - 1) % ranks;
@@ -242,22 +275,20 @@ impl DistSoiFft {
         // 2–4. Convolution over my row range (global rows
         // r·rows..(r+1)·rows; the coefficient table is row-periodic with
         // period μ | rows, so the kernels run rank-relative unchanged),
-        // I ⊗ F_P, and the pack (Fig 3's local permutation), block by
-        // block. The pack writes lane-major (p × rows), which
-        // concatenates lanes s = 0..P in order — destination d's block
-        // is exactly lanes [d·c, (d+1)·c), already segment-major.
-        let mut send = vec![Complex64::ZERO; rows * p];
+        // I ⊗ F_P over every lane, and the pack (Fig 3's local
+        // permutation) of the kept lanes, block by block. The pack writes
+        // lane-major (keep × rows) — destination d's block is exactly
+        // lanes [d·c, (d+1)·c), already segment-major.
+        let mut send = vec![Complex64::ZERO; rows * keep];
         let front = self
             .soi
-            .front_end(x_local, &halo, &mut send, p, pool, &trace);
-        // Charge each phase as its own modeled work item.
-        let pack_bytes = 2.0 * (rows * p * std::mem::size_of::<Complex64>()) as f64;
-        times.conv = policy.charge(WorkKind::Conv, conv_flops(rows * p, cfg.b), front.conv);
-        times.fft_small = policy.charge(WorkKind::Fft, rows as f64 * fft_flops(p), front.fft_p);
-        times.pack = policy.charge(WorkKind::Mem, pack_bytes, front.pack);
-        for dt in [times.conv, times.fft_small, times.pack] {
-            comm.charge_compute(dt);
-        }
+            .front_end(x_local, &halo, &mut send, keep, pool, &trace);
+        let conv = conv_flops(rows * p, cfg.b) * T::CONV_FLOP_SHARE;
+        // The pack reads all P lanes of each group and writes the kept ones.
+        let pack_bytes = (rows * (p + keep) * std::mem::size_of::<Complex64>()) as f64;
+        times.conv = charge(comm, WorkKind::Conv, conv, front.conv);
+        times.fft_small = charge(comm, WorkKind::Fft, rows as f64 * fft_flops(p), front.fft_p);
+        times.pack = charge(comm, WorkKind::Mem, pack_bytes, front.pack);
         // The blocks crossed boundaries 2–4 at once; fire the hooks in
         // pipeline order (checkpoints persist phase inputs, so replay
         // from any of them is unchanged).
@@ -265,6 +296,21 @@ impl DistSoiFft {
         hook(comm, 3)?;
         hook(comm, 4)?;
 
+        // Real input: y[N/2] = Σ_j (−1)^j x_j is the one output the kept
+        // half-segments cannot produce. Every rank folds its own slice —
+        // local origins sit at even global offsets (N/R = 2·c·M), so the
+        // alternating signs line up — and the rank-order allreduce
+        // combines the partials bitwise identically on every fabric.
+        let c0 = comm.comm_seconds();
+        let nyquist = T::nyquist_partial(x_local)
+            .map(|partial| comm.allreduce_sum(partial))
+            .transpose()?;
+        times.exchange = comm.comm_seconds() - c0;
+
+        let fft_work = c as f64 * fft_flops(cfg.m_prime);
+        let demod_bytes = 2.0 * (out_pts * std::mem::size_of::<Complex64>()) as f64;
+        let demod = &self.soi.coefficients().demod;
+        let mut y;
         if schedule == ExchangeSchedule::Overlapped {
             // 5–7 fused. The streamed exchange delivers segment-major, so
             // each landing sub-block already sits in its x̃ slot (delivery
@@ -276,9 +322,8 @@ impl DistSoiFft {
             trace.span_begin("exchange", comm.clock_now());
             let c0 = comm.comm_seconds();
             let mut xt = vec![Complex64::ZERO; c * cfg.m_prime];
-            let mut y = vec![Complex64::ZERO; local_pts];
+            y = vec![Complex64::ZERO; out_pts];
             let mut scratch = vec![Complex64::ZERO; self.soi.plan_m().scratch_len()];
-            let demod = &self.soi.coefficients().demod;
             let (mut fft_wall, mut demod_wall) = (0.0f64, 0.0f64);
             let trace_cb = &trace;
             let y_out = &mut y;
@@ -296,22 +341,14 @@ impl DistSoiFft {
                 demod_wall += t0.elapsed().as_secs_f64();
                 trace_cb.span_end("demod", clock);
             })?;
-            times.exchange = comm.comm_seconds() - c0;
+            times.exchange += comm.comm_seconds() - c0;
             trace.span_end("exchange", comm.clock_now());
 
             // Compute was measured inside the callbacks (the transports
             // exclude it from comm time); charge it once per phase so the
             // ledger matches the barriered breakdown.
-            let dt = policy.charge(WorkKind::Fft, c as f64 * fft_flops(cfg.m_prime), fft_wall);
-            comm.charge_compute(dt);
-            times.fft_large = dt;
-            let dt = policy.charge(
-                WorkKind::Mem,
-                2.0 * (local_pts * std::mem::size_of::<Complex64>()) as f64,
-                demod_wall,
-            );
-            comm.charge_compute(dt);
-            times.scale = dt;
+            times.fft_large = charge(comm, WorkKind::Fft, fft_work, fft_wall);
+            times.scale = charge(comm, WorkKind::Mem, demod_bytes, demod_wall);
 
             // The fused region crossed boundaries 5–7 at once; fire the
             // hooks in pipeline order (both checkpoint consumers persist
@@ -319,367 +356,82 @@ impl DistSoiFft {
             hook(comm, 5)?;
             hook(comm, 6)?;
             hook(comm, 7)?;
-            return Ok((y, times));
-        }
-
-        // 5. THE all-to-all. From src I receive its rows for each of my c
-        // segments: recv[src·c·rows + si·rows + jl] = x̃^{(my seg si)}[src·rows + jl].
-        trace.span_begin("exchange", comm.clock_now());
-        let c0 = comm.comm_seconds();
-        let mut recv = vec![Complex64::ZERO; c * cfg.m_prime];
-        comm.all_to_all(&send, &mut recv)?;
-        times.exchange = comm.comm_seconds() - c0;
-        trace.span_end("exchange", comm.clock_now());
-
-        // 5b. Unpack into per-segment x̃ vectors (a second local
-        // permutation; a no-op copy when c = 1 and R = P).
-        trace.span_begin("pack", comm.clock_now());
-        let t0 = Instant::now();
-        let mut xt = vec![Complex64::ZERO; c * cfg.m_prime];
-        for src in 0..ranks {
-            for si in 0..c {
-                let from = &recv[(src * c + si) * rows..(src * c + si + 1) * rows];
-                xt[si * cfg.m_prime + src * rows..si * cfg.m_prime + (src + 1) * rows]
-                    .copy_from_slice(from);
-            }
-        }
-        let dt = policy.charge(
-            WorkKind::Mem,
-            2.0 * (xt.len() * std::mem::size_of::<Complex64>()) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.pack += dt;
-        trace.span_end("pack", comm.clock_now());
-        hook(comm, 5)?;
-
-        // 6. F_{M'} per owned segment, one scratch stripe per worker.
-        trace.span_begin("fft_m", comm.clock_now());
-        let t0 = Instant::now();
-        let scr_len = self.soi.plan_m().scratch_len();
-        let parts = pool.threads().min(c).max(1);
-        let mut scratch = vec![Complex64::ZERO; parts * scr_len];
-        if parts == 1 {
-            for seg in xt.chunks_exact_mut(cfg.m_prime) {
-                self.soi.plan_m().execute_with_scratch(seg, &mut scratch);
-            }
         } else {
-            let xt_ptr = SlicePtr::new(&mut xt);
-            let scr_ptr = SlicePtr::new(&mut scratch);
-            pool.run(parts, |t| {
-                let (s0, sl) = part_range(c, parts, t);
-                // SAFETY: segment ranges are disjoint across tasks and each
-                // task owns scratch stripe `t`; borrows end at the barrier.
-                let scr = unsafe { scr_ptr.slice(t * scr_len, scr_len) };
-                for si in s0..s0 + sl {
-                    let seg = unsafe { xt_ptr.slice(si * cfg.m_prime, cfg.m_prime) };
-                    self.soi.plan_m().execute_with_scratch(seg, scr);
-                }
-            });
-        }
-        let dt = policy.charge(
-            WorkKind::Fft,
-            c as f64 * fft_flops(cfg.m_prime),
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.fft_large = dt;
-        trace.span_end("fft_m", comm.clock_now());
-        hook(comm, 6)?;
-
-        // 7. Project + demodulate each segment.
-        trace.span_begin("demod", comm.clock_now());
-        let t0 = Instant::now();
-        let demod = &self.soi.coefficients().demod;
-        let mut y = Vec::with_capacity(local_pts);
-        for si in 0..c {
-            let seg = &xt[si * cfg.m_prime..(si + 1) * cfg.m_prime];
-            y.extend((0..cfg.m).map(|k| seg[k] * demod[k]));
-        }
-        let dt = policy.charge(
-            WorkKind::Mem,
-            2.0 * (local_pts * std::mem::size_of::<Complex64>()) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.scale = dt;
-        trace.span_end("demod", comm.clock_now());
-        hook(comm, 7)?;
-
-        Ok((y, times))
-    }
-
-    /// Half-segments each rank of an `r`-rank cluster would own in the
-    /// real-input transform (`(P/2)/R` — conjugate symmetry makes only
-    /// the first `P/2` segments worth exchanging).
-    ///
-    /// # Errors
-    /// [`SoiError::BadSize`] if the segment count is odd (the Hermitian
-    /// fold pairs lane `s` with lane `P−s`); [`SoiError::BadRankCount`]
-    /// if `r` does not divide `P/2`; [`SoiError::BadAlignment`] if the
-    /// per-rank row count would not align with the μ-row chunks.
-    pub fn half_segments_per_rank(&self, ranks: usize) -> Result<usize, SoiError> {
-        let cfg = self.soi.config();
-        if cfg.p % 2 != 0 {
-            return Err(SoiError::BadSize(format!(
-                "real-input transform needs an even segment count, got P = {}",
-                cfg.p
-            )));
-        }
-        let ph = cfg.p / 2;
-        if ranks < 1 || ph % ranks != 0 {
-            return Err(SoiError::BadRankCount(format!(
-                "rank count {ranks} must divide the half-segment count P/2 = {ph}"
-            )));
-        }
-        let rows = cfg.m_prime / ranks;
-        if rows % cfg.mu != 0 {
-            return Err(SoiError::BadAlignment(format!(
-                "rows per rank {rows} must align with mu = {} chunks",
-                cfg.mu
-            )));
-        }
-        Ok(ph / ranks)
-    }
-
-    /// Real-input (r2c) transform on one rank of an `R`-rank cluster.
-    ///
-    /// `x_local` is this rank's `N/R` **real** samples. The pipeline is
-    /// the complex [`Self::run`] with the redundancy of a real signal
-    /// removed at every layer: the halo moves raw `f64`s (half the
-    /// bytes), the convolution runs the halved real kernel, and — the
-    /// headline — the all-to-all carries only the first `P/2` segments,
-    /// since conjugate symmetry (`X[N−k] = conj(X[k])`) makes segments
-    /// `P/2..P` derivable from the kept half. The exchange volume is
-    /// therefore half the complex transform's.
-    ///
-    /// Each rank returns the `(P/2)/R · M` packed half-spectrum bins of
-    /// its owned half-segments; the LAST rank additionally appends the
-    /// Nyquist bin `y[N/2]`, so concatenating rank outputs yields the
-    /// same `N/2 + 1`-point packed half-spectrum as
-    /// [`soi_core::SoiFft::transform_real`].
-    pub fn run_real<C: Communicator>(
-        &self,
-        comm: &mut C,
-        x_local: &[f64],
-        policy: ChargePolicy,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        self.run_real_with(comm, x_local, policy, &ThreadPool::serial())
-    }
-
-    /// [`Self::run_real`] with per-rank compute fanned across `pool`;
-    /// bitwise identical to the serial run for any worker count.
-    pub fn run_real_with<C: Communicator>(
-        &self,
-        comm: &mut C,
-        x_local: &[f64],
-        policy: ChargePolicy,
-        pool: &ThreadPool,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        self.run_real_scheduled(comm, x_local, policy, pool, ExchangeSchedule::from_env())
-    }
-
-    /// [`Self::run_real_with`] with the exchange schedule pinned
-    /// explicitly — the seam the equivalence tests use. Both schedules
-    /// produce bitwise-identical output.
-    pub fn run_real_scheduled<C: Communicator>(
-        &self,
-        comm: &mut C,
-        x_local: &[f64],
-        policy: ChargePolicy,
-        pool: &ThreadPool,
-        schedule: ExchangeSchedule,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        let cfg = *self.soi.config();
-        let ranks = comm.size();
-        let ch = self.half_segments_per_rank(ranks)?;
-        let local_pts = cfg.n / ranks; // reals on this rank (= 2·ch·M)
-        if x_local.len() != local_pts {
-            return Err(SoiError::BadInput {
-                expected: local_pts,
-                got: x_local.len(),
-            });
-        }
-        let rank = comm.rank();
-        let p = cfg.p;
-        let ph = p / 2;
-        let rows = cfg.m_prime / ranks; // P-groups computed on this rank
-        let out_pts = ch * cfg.m; // owned packed half-spectrum bins
-        let mut times = PhaseTimes::default();
-        let trace = comm.trace_handle();
-
-        // 1. Halo exchange — same ring pattern as the complex run, on raw
-        // reals: half the bytes per halo point.
-        trace.span_begin("halo", comm.clock_now());
-        let c0 = comm.comm_seconds();
-        let left = (rank + ranks - 1) % ranks;
-        let right = (rank + 1) % ranks;
-        let halo = comm.sendrecv(left, &x_local[..cfg.halo_len()], right)?;
-        times.halo = comm.comm_seconds() - c0;
-        trace.span_end("halo", comm.clock_now());
-
-        // 2–4. Real convolution over my row range (two real FMAs per
-        // tap, half the arithmetic of the complex kernel), the full
-        // complex I ⊗ F_P (every lane is F_P input; the redundancy only
-        // becomes droppable after it), and the pack of lanes 0..P/2 only
-        // — conjugate symmetry makes lanes P/2..P the mirror conjugates
-        // of the kept half, so they never enter the send buffer.
-        // Destination d's block is lanes [d·ch, (d+1)·ch), already
-        // segment-major, exactly as in the complex pack.
-        let mut send = vec![Complex64::ZERO; rows * ph];
-        let front = self
-            .soi
-            .front_end(x_local, &halo, &mut send, ph, pool, &trace);
-        // Real input halves the convolution's FMAs.
-        let conv = conv_flops(rows * p, cfg.b) / 2.0;
-        let pack_bytes = ((rows * (p + ph)) * std::mem::size_of::<Complex64>()) as f64;
-        times.conv = policy.charge(WorkKind::Conv, conv, front.conv);
-        times.fft_small = policy.charge(WorkKind::Fft, rows as f64 * fft_flops(p), front.fft_p);
-        times.pack = policy.charge(WorkKind::Mem, pack_bytes, front.pack);
-        for dt in [times.conv, times.fft_small, times.pack] {
-            comm.charge_compute(dt);
-        }
-
-        // Nyquist bin: y[N/2] = Σ_j (−1)^j x_j is the one output the kept
-        // half-segments cannot produce. Every rank folds its own slice —
-        // local origins sit at even global offsets (N/R = 2·ch·M), so the
-        // alternating signs line up — and the rank-order allreduce
-        // combines the partials bitwise identically on every fabric.
-        // Placed before the schedule split so both schedules share it.
-        let c0 = comm.comm_seconds();
-        let nyq = comm.allreduce_sum(soi_core::pipeline::nyquist_fold(x_local))?;
-        times.exchange += comm.comm_seconds() - c0;
-
-        if schedule == ExchangeSchedule::Overlapped {
-            // 5–7 fused, exactly as the complex overlapped arm, over the
-            // ch owned half-segments.
+            // 5. THE all-to-all. From src I receive its rows for each of
+            // my c segments:
+            // recv[src·c·rows + si·rows + jl] = x̃^{(my seg si)}[src·rows + jl].
             trace.span_begin("exchange", comm.clock_now());
             let c0 = comm.comm_seconds();
-            let mut xt = vec![Complex64::ZERO; ch * cfg.m_prime];
-            let mut y = vec![Complex64::ZERO; out_pts];
-            let mut scratch = vec![Complex64::ZERO; self.soi.plan_m().scratch_len()];
-            let demod = &self.soi.coefficients().demod;
-            let (mut fft_wall, mut demod_wall) = (0.0f64, 0.0f64);
-            let trace_cb = &trace;
-            let y_out = &mut y;
-            comm.all_to_all_seg(&send, &mut xt, ch, &mut |si, seg, clock| {
-                trace_cb.span_begin("fft_m", clock);
-                let t0 = Instant::now();
-                self.soi.plan_m().execute_with_scratch(seg, &mut scratch);
-                fft_wall += t0.elapsed().as_secs_f64();
-                trace_cb.span_end("fft_m", clock);
-                trace_cb.span_begin("demod", clock);
-                let t0 = Instant::now();
-                for k in 0..cfg.m {
-                    y_out[si * cfg.m + k] = seg[k] * demod[k];
-                }
-                demod_wall += t0.elapsed().as_secs_f64();
-                trace_cb.span_end("demod", clock);
-            })?;
+            let mut recv = vec![Complex64::ZERO; c * cfg.m_prime];
+            comm.all_to_all(&send, &mut recv)?;
             times.exchange += comm.comm_seconds() - c0;
             trace.span_end("exchange", comm.clock_now());
 
-            let dt = policy.charge(WorkKind::Fft, ch as f64 * fft_flops(cfg.m_prime), fft_wall);
-            comm.charge_compute(dt);
-            times.fft_large = dt;
-            let dt = policy.charge(
-                WorkKind::Mem,
-                2.0 * (out_pts * std::mem::size_of::<Complex64>()) as f64,
-                demod_wall,
-            );
-            comm.charge_compute(dt);
-            times.scale = dt;
-
-            if rank == ranks - 1 {
-                y.push(Complex64::new(nyq, 0.0));
-            }
-            return Ok((y, times));
-        }
-
-        // 5. The halved all-to-all: from src I receive its rows for each
-        // of my ch half-segments.
-        trace.span_begin("exchange", comm.clock_now());
-        let c0 = comm.comm_seconds();
-        let mut recv = vec![Complex64::ZERO; ch * cfg.m_prime];
-        comm.all_to_all(&send, &mut recv)?;
-        times.exchange += comm.comm_seconds() - c0;
-        trace.span_end("exchange", comm.clock_now());
-
-        // 5b. Unpack into per-half-segment x̃ vectors.
-        trace.span_begin("pack", comm.clock_now());
-        let t0 = Instant::now();
-        let mut xt = vec![Complex64::ZERO; ch * cfg.m_prime];
-        for src in 0..ranks {
-            for si in 0..ch {
-                let from = &recv[(src * ch + si) * rows..(src * ch + si + 1) * rows];
-                xt[si * cfg.m_prime + src * rows..si * cfg.m_prime + (src + 1) * rows]
-                    .copy_from_slice(from);
-            }
-        }
-        let dt = policy.charge(
-            WorkKind::Mem,
-            2.0 * (xt.len() * std::mem::size_of::<Complex64>()) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.pack += dt;
-        trace.span_end("pack", comm.clock_now());
-
-        // 6. F_{M'} per owned half-segment, one scratch stripe per worker.
-        trace.span_begin("fft_m", comm.clock_now());
-        let t0 = Instant::now();
-        let scr_len = self.soi.plan_m().scratch_len();
-        let parts = pool.threads().min(ch).max(1);
-        let mut scratch = vec![Complex64::ZERO; parts * scr_len];
-        if parts == 1 {
-            for seg in xt.chunks_exact_mut(cfg.m_prime) {
-                self.soi.plan_m().execute_with_scratch(seg, &mut scratch);
-            }
-        } else {
-            let xt_ptr = SlicePtr::new(&mut xt);
-            let scr_ptr = SlicePtr::new(&mut scratch);
-            pool.run(parts, |t| {
-                let (s0, sl) = part_range(ch, parts, t);
-                // SAFETY: segment ranges are disjoint across tasks and each
-                // task owns scratch stripe `t`; borrows end at the barrier.
-                let scr = unsafe { scr_ptr.slice(t * scr_len, scr_len) };
-                for si in s0..s0 + sl {
-                    let seg = unsafe { xt_ptr.slice(si * cfg.m_prime, cfg.m_prime) };
-                    self.soi.plan_m().execute_with_scratch(seg, scr);
+            // 5b. Unpack into per-segment x̃ vectors (a second local
+            // permutation; a no-op copy when c = 1 and R = P).
+            trace.span_begin("pack", comm.clock_now());
+            let t0 = Instant::now();
+            let mut xt = vec![Complex64::ZERO; c * cfg.m_prime];
+            for src in 0..ranks {
+                for si in 0..c {
+                    let from = &recv[(src * c + si) * rows..(src * c + si + 1) * rows];
+                    xt[si * cfg.m_prime + src * rows..si * cfg.m_prime + (src + 1) * rows]
+                        .copy_from_slice(from);
                 }
-            });
-        }
-        let dt = policy.charge(
-            WorkKind::Fft,
-            ch as f64 * fft_flops(cfg.m_prime),
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.fft_large = dt;
-        trace.span_end("fft_m", comm.clock_now());
+            }
+            let unpack_bytes = 2.0 * (xt.len() * std::mem::size_of::<Complex64>()) as f64;
+            let wall = t0.elapsed().as_secs_f64();
+            times.pack += charge(comm, WorkKind::Mem, unpack_bytes, wall);
+            trace.span_end("pack", comm.clock_now());
+            hook(comm, 5)?;
 
-        // 7. Project + demodulate each half-segment; the last rank
-        // appends the Nyquist bin to complete the packed half-spectrum.
-        trace.span_begin("demod", comm.clock_now());
-        let t0 = Instant::now();
-        let demod = &self.soi.coefficients().demod;
-        let mut y = Vec::with_capacity(out_pts + 1);
-        for si in 0..ch {
-            let seg = &xt[si * cfg.m_prime..(si + 1) * cfg.m_prime];
-            y.extend((0..cfg.m).map(|k| seg[k] * demod[k]));
-        }
-        let dt = policy.charge(
-            WorkKind::Mem,
-            2.0 * (out_pts * std::mem::size_of::<Complex64>()) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.scale = dt;
-        trace.span_end("demod", comm.clock_now());
-        if rank == ranks - 1 {
-            y.push(Complex64::new(nyq, 0.0));
+            // 6. F_{M'} per owned segment, one scratch stripe per worker.
+            trace.span_begin("fft_m", comm.clock_now());
+            let t0 = Instant::now();
+            let scr_len = self.soi.plan_m().scratch_len();
+            let parts = pool.threads().min(c).max(1);
+            let mut scratch = vec![Complex64::ZERO; parts * scr_len];
+            if parts == 1 {
+                for seg in xt.chunks_exact_mut(cfg.m_prime) {
+                    self.soi.plan_m().execute_with_scratch(seg, &mut scratch);
+                }
+            } else {
+                let xt_ptr = SlicePtr::new(&mut xt);
+                let scr_ptr = SlicePtr::new(&mut scratch);
+                pool.run(parts, |t| {
+                    let (s0, sl) = part_range(c, parts, t);
+                    // SAFETY: segment ranges are disjoint across tasks and
+                    // each task owns scratch stripe `t`; borrows end at the
+                    // barrier.
+                    let scr = unsafe { scr_ptr.slice(t * scr_len, scr_len) };
+                    for si in s0..s0 + sl {
+                        let seg = unsafe { xt_ptr.slice(si * cfg.m_prime, cfg.m_prime) };
+                        self.soi.plan_m().execute_with_scratch(seg, scr);
+                    }
+                });
+            }
+            times.fft_large = charge(comm, WorkKind::Fft, fft_work, t0.elapsed().as_secs_f64());
+            trace.span_end("fft_m", comm.clock_now());
+            hook(comm, 6)?;
+
+            // 7. Project + demodulate each segment.
+            trace.span_begin("demod", comm.clock_now());
+            let t0 = Instant::now();
+            y = Vec::with_capacity(out_pts + 1);
+            for si in 0..c {
+                let seg = &xt[si * cfg.m_prime..(si + 1) * cfg.m_prime];
+                y.extend((0..cfg.m).map(|k| seg[k] * demod[k]));
+            }
+            times.scale = charge(comm, WorkKind::Mem, demod_bytes, t0.elapsed().as_secs_f64());
+            trace.span_end("demod", comm.clock_now());
+            hook(comm, 7)?;
         }
 
+        // The last rank appends the Nyquist bin to complete the packed
+        // half-spectrum.
+        if let Some(v) = nyquist.filter(|_| rank == ranks - 1) {
+            y.push(Complex64::new(v, 0.0));
+        }
         Ok((y, times))
     }
 }

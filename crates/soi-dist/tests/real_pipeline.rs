@@ -5,7 +5,7 @@
 //! the complex transform at the same geometry (the point of the path).
 
 use soi_core::{SoiError, SoiFft, SoiParams};
-use soi_dist::{ChargePolicy, DistSoiFft, ExchangeSchedule};
+use soi_dist::{ChargePolicy, DistSoiFft, ExchangeSchedule, LAST_BOUNDARY};
 use soi_num::complex::rel_l2_error;
 use soi_num::Complex64;
 use soi_pool::ThreadPool;
@@ -45,9 +45,11 @@ fn simnet_half_spectrum(
         .run_collect(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
             let pool = ThreadPool::new(workers);
-            dr.run_real_scheduled(comm, local, ChargePolicy::WallClock, &pool, schedule)
-                .expect("real soi run")
-                .0
+            dr.run_with_hooks(comm, local, ChargePolicy::WallClock, &pool, schedule, |_, _| {
+                Ok(())
+            })
+            .expect("real soi run")
+            .0
         })
         .into_iter()
         .flatten()
@@ -66,12 +68,13 @@ fn wire_half_spectrum(
     let m = n / ranks;
     run_loopback(ranks, WireConfig::default(), move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run_real_scheduled(
+        dr.run_with_hooks(
             comm,
             local,
             ChargePolicy::WallClock,
             &ThreadPool::serial(),
             schedule,
+            |_, _| Ok(()),
         )
         .expect("real soi run")
         .0
@@ -94,7 +97,6 @@ fn distributed_real_matches_serial_packed_half_spectrum() {
     assert_eq!(serial.len(), n / 2 + 1);
     let dist = DistSoiFft::new(&params).unwrap();
     for ranks in [1usize, 2, 4] {
-        assert_eq!(dist.half_segments_per_rank(ranks), Ok(p / 2 / ranks));
         let got = simnet_half_spectrum(&dist, n, ranks, ExchangeSchedule::Barriered, 1);
         assert_eq!(got.len(), n / 2 + 1, "R={ranks}");
         let err = rel_l2_error(&got, &serial);
@@ -172,7 +174,9 @@ fn real_exchange_moves_at_most_055x_the_complex_bytes() {
     let (xr, dr) = (&x, &dist);
     let real_reports = Cluster::new(ranks, Fabric::ethernet_10g()).run(move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run_real(comm, local, ChargePolicy::WallClock).expect("real run").0
+        dr.run_real_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+            .expect("real run")
+            .0
     });
     let real_bytes: u64 = real_reports.iter().map(|(_, r)| r.stats.bytes_sent).sum();
 
@@ -190,35 +194,108 @@ fn real_exchange_moves_at_most_055x_the_complex_bytes() {
 }
 
 #[test]
+fn real_run_fires_every_hook_once_in_order_and_stays_bitwise() {
+    // Real runs share the complex run's phase-boundary seam: hooks
+    // 0..=7 fire once each, in order, on both schedules, and a no-op
+    // hook leaves the output bitwise that of a hook-free run.
+    let n = 1 << 14;
+    let ranks = 2;
+    let params = SoiParams::with_preset(n, 8, AccuracyPreset::Digits10).unwrap();
+    let dist = DistSoiFft::new(&params).unwrap();
+    let x = real_signal(n);
+    let m = n / ranks;
+    for schedule in [ExchangeSchedule::Barriered, ExchangeSchedule::Overlapped] {
+        let plain = simnet_half_spectrum(&dist, n, ranks, schedule, 1);
+        let runs = Cluster::ideal(ranks).run_collect(|comm| {
+            let local = &x[comm.rank() * m..(comm.rank() + 1) * m];
+            let mut seen = Vec::new();
+            let pool = ThreadPool::serial();
+            let policy = ChargePolicy::WallClock;
+            let (y, _) = dist
+                .run_with_hooks(comm, local, policy, &pool, schedule, |_, k| {
+                    seen.push(k);
+                    Ok(())
+                })
+                .expect("hooked real run");
+            (y, seen)
+        });
+        let mut hooked = Vec::new();
+        for (rank, (y, seen)) in runs.into_iter().enumerate() {
+            let all: Vec<usize> = (0..=LAST_BOUNDARY).collect();
+            assert_eq!(seen, all, "{schedule:?} rank {rank}");
+            hooked.extend(y);
+        }
+        assert_bitwise_equal(&plain, &hooked, &format!("{schedule:?}"));
+    }
+}
+
+#[test]
+fn real_run_hook_error_aborts_the_run_at_that_boundary() {
+    let n = 1 << 14;
+    let ranks = 2;
+    let params = SoiParams::with_preset(n, 8, AccuracyPreset::Digits10).unwrap();
+    let dist = DistSoiFft::new(&params).unwrap();
+    let x = real_signal(n);
+    let m = n / ranks;
+    for schedule in [ExchangeSchedule::Barriered, ExchangeSchedule::Overlapped] {
+        for stop in 0..=LAST_BOUNDARY {
+            // Every rank stops at the same boundary, so none waits on a
+            // collective its peer will never join.
+            let runs = Cluster::ideal(ranks).run_collect(|comm| {
+                let local = &x[comm.rank() * m..(comm.rank() + 1) * m];
+                let mut seen = Vec::new();
+                let pool = ThreadPool::serial();
+                let policy = ChargePolicy::WallClock;
+                let err = dist
+                    .run_with_hooks(comm, local, policy, &pool, schedule, |_, k| {
+                        seen.push(k);
+                        if k == stop {
+                            return Err(SoiError::Comm(format!("stop at {k}")));
+                        }
+                        Ok(())
+                    })
+                    .expect_err("the hook's error must abort the run");
+                (err, seen)
+            });
+            for (rank, (err, seen)) in runs.into_iter().enumerate() {
+                let what = format!("{schedule:?} stop {stop} rank {rank}");
+                assert_eq!(err, SoiError::Comm(format!("stop at {stop}")), "{what}");
+                assert_eq!(seen, (0..=stop).collect::<Vec<_>>(), "{what}");
+            }
+        }
+    }
+}
+
+/// The error each rank of a `ranks`-rank real run on `local` samples
+/// per rank returns.
+fn real_run_errors(dist: &DistSoiFft, ranks: usize, local: usize) -> Vec<SoiError> {
+    Cluster::ideal(ranks).run_collect(|comm| {
+        let x = vec![0.0f64; local];
+        dist.run_real_with(comm, &x, ChargePolicy::WallClock, &ThreadPool::serial())
+            .expect_err("the real run must fail")
+    })
+}
+
+#[test]
 fn real_run_rejects_bad_geometries() {
     // Odd segment count: the Hermitian fold pairs lane s with P−s.
     let odd = SoiParams::with_preset(10000, 5, AccuracyPreset::Digits10).unwrap();
     let dist = DistSoiFft::new(&odd).unwrap();
-    assert!(matches!(
-        dist.half_segments_per_rank(1),
-        Err(SoiError::BadSize(_))
-    ));
+    for e in real_run_errors(&dist, 1, 10000) {
+        assert!(matches!(e, SoiError::BadSize(_)), "got {e:?}");
+    }
 
-    let params = SoiParams::with_preset(1 << 14, 8, AccuracyPreset::Digits10).unwrap();
+    let n = 1 << 14;
+    let params = SoiParams::with_preset(n, 8, AccuracyPreset::Digits10).unwrap();
     let dist = DistSoiFft::new(&params).unwrap();
     // 3 and 8 don't divide P/2 = 4.
-    assert!(matches!(
-        dist.half_segments_per_rank(3),
-        Err(SoiError::BadRankCount(_))
-    ));
-    assert!(matches!(
-        dist.half_segments_per_rank(8),
-        Err(SoiError::BadRankCount(_))
-    ));
+    for ranks in [3usize, 8] {
+        for e in real_run_errors(&dist, ranks, n / ranks) {
+            assert!(matches!(e, SoiError::BadRankCount(_)), "R={ranks}: got {e:?}");
+        }
+    }
     // Wrong local length surfaces as BadInput, on the rank.
-    let bad: Vec<SoiError> = Cluster::ideal(2)
-        .run_collect(|comm| {
-            let x = vec![0.0f64; 100];
-            dist.run_real(comm, &x, ChargePolicy::WallClock).unwrap_err()
-        })
-        .into_iter()
-        .collect();
-    for e in &bad {
+    for e in real_run_errors(&dist, 2, 100) {
         assert!(matches!(e, SoiError::BadInput { .. }), "got {e:?}");
     }
 }

@@ -5,14 +5,13 @@
 //! applied independently on ℓ contiguous segments of stride-one data."
 //! This module is that operator: a batch of contiguous same-size FFTs.
 //!
-//! Execution is row-parallel on a persistent [`ThreadPool`] (the paper's
-//! OpenMP level): a `BatchFft` built with `threads > 1` owns its own pool,
-//! spawned once at plan time and parked between calls, and
-//! [`BatchFft::execute_pooled`] runs on any external pool with
-//! caller-provided scratch — zero per-call allocation, zero per-call
-//! thread spawning. Rows are split into balanced contiguous ranges with
-//! deterministic boundaries, and every row is an independent transform,
-//! so the output is bitwise identical for every worker count (pinned by
+//! [`BatchFft::execute`] and [`BatchFft::execute_with_scratch`] run on the
+//! calling thread; [`BatchFft::execute_pooled`] runs row-parallel on a
+//! caller's [`ThreadPool`] (the paper's OpenMP level) with caller-provided
+//! scratch — zero per-call allocation, zero per-call thread spawning.
+//! Rows are split into balanced contiguous ranges with deterministic
+//! boundaries, and every row is an independent transform, so the output
+//! is bitwise identical for every worker count (pinned by
 //! `tests/batch_equivalence.rs`).
 
 use crate::plan::{Direction, Plan};
@@ -26,7 +25,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct BatchFft<T> {
     plan: Arc<Plan<T>>,
-    pool: ThreadPool,
     /// Batched AVX2 fast path, decided once at plan time: forward rows of
     /// length 8 (the production `F_P` shape, where per-row plan dispatch
     /// overhead rivals the butterfly work) run through
@@ -36,26 +34,19 @@ pub struct BatchFft<T> {
 }
 
 impl<T: Real> BatchFft<T> {
-    /// Plan a batch of transforms of size `len` in `direction`, run on
-    /// `threads` workers (1 = serial, spawns nothing). The workers are
-    /// spawned once here and parked between `execute` calls.
-    pub fn new(len: usize, direction: Direction, threads: usize) -> Self {
-        Self::with_plan(Arc::new(Plan::new(len, direction)), threads)
+    /// Plan a batch of transforms of size `len` in `direction`.
+    pub fn new(len: usize, direction: Direction) -> Self {
+        Self::with_plan(Arc::new(Plan::new(len, direction)))
     }
 
     /// Build a batch executor around an existing shared plan (e.g. from a
     /// [`crate::plan::Planner`] cache) instead of planning from scratch.
-    pub fn with_plan(plan: Arc<Plan<T>>, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
+    pub fn with_plan(plan: Arc<Plan<T>>) -> Self {
         let dft8 = plan.len() == 8
             && plan.direction() == Direction::Forward
             && simd::is_c64::<T>()
             && simd::enabled();
-        Self {
-            plan,
-            pool: ThreadPool::new(threads),
-            dft8,
-        }
+        Self { plan, dft8 }
     }
 
     /// The shared row plan.
@@ -68,11 +59,6 @@ impl<T: Real> BatchFft<T> {
         self.plan.len()
     }
 
-    /// Configured worker count.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// Per-worker scratch elements [`Self::execute_pooled`] and
     /// [`Self::execute_with_scratch`] need (the row plan's scratch size).
     pub fn scratch_len(&self) -> usize {
@@ -80,17 +66,14 @@ impl<T: Real> BatchFft<T> {
     }
 
     /// Transform every contiguous `row_len`-sized row of `data` in place,
-    /// on the internal pool. Convenience wrapper around
-    /// [`Self::execute_pooled`] that allocates the scratch arena.
+    /// on the calling thread. Convenience wrapper around
+    /// [`Self::execute_with_scratch`] that allocates the scratch.
     ///
     /// # Panics
     /// Panics if `data.len()` is not a multiple of the row length.
     pub fn execute(&self, data: &mut [Complex<T>]) {
-        let m = self.plan.len();
-        let rows = data.len() / m;
-        let parts = self.pool.threads().min(rows).max(1);
-        let mut scratch = AlignedBuf::zeroed(parts * self.scratch_len());
-        self.execute_pooled(data, &self.pool, &mut scratch);
+        let mut scratch = AlignedBuf::zeroed(self.scratch_len());
+        self.execute_with_scratch(data, &mut scratch);
     }
 
     /// Serial (calling-thread) execution reusing caller scratch of at
@@ -181,46 +164,6 @@ impl<T: Real> BatchFft<T> {
     }
 }
 
-/// One-shot helper: `count` forward FFTs of length `len` over `data`.
-pub fn batch_fft_forward<T: Real>(data: &mut [Complex<T>], len: usize, threads: usize) {
-    BatchFft::new(len, Direction::Forward, threads).execute(data);
-}
-
-/// Strided batch: apply `F_m` to `count` sub-vectors of `data`, where
-/// sub-vector `q` occupies indices `{q + i·count : i < m}` — the
-/// `F_m ⊗ I_count` pattern. Gathers into scratch, transforms, scatters.
-/// Convenience wrapper around [`strided_fft_with_scratch`] that allocates
-/// the workspace.
-pub fn strided_fft<T: Real>(data: &mut [Complex<T>], plan: &Plan<T>, count: usize) {
-    let mut work = AlignedBuf::zeroed(plan.len() + plan.scratch_len());
-    strided_fft_with_scratch(data, plan, count, &mut work);
-}
-
-/// [`strided_fft`] reusing a caller workspace of at least
-/// `plan.len() + plan.scratch_len()` elements (gather buffer + FFT
-/// scratch); allocation-free.
-pub fn strided_fft_with_scratch<T: Real>(
-    data: &mut [Complex<T>],
-    plan: &Plan<T>,
-    count: usize,
-    work: &mut [Complex<T>],
-) {
-    let m = plan.len();
-    assert_eq!(data.len(), m * count, "strided batch shape mismatch");
-    assert!(
-        work.len() >= m + plan.scratch_len(),
-        "strided workspace too short: {} < {}",
-        work.len(),
-        m + plan.scratch_len()
-    );
-    let (gathered, scratch) = work.split_at_mut(m);
-    for q in 0..count {
-        crate::permute::gather_strided(data, gathered, q, count);
-        plan.execute_with_scratch(gathered, scratch);
-        crate::permute::scatter_strided(gathered, data, q, count);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,11 +181,18 @@ mod tests {
         let (rows, m) = (5, 16);
         let data = rows_signal(rows, m);
         let mut got = data.clone();
-        BatchFft::new(m, Direction::Forward, 1).execute(&mut got);
+        BatchFft::new(m, Direction::Forward).execute(&mut got);
         for r in 0..rows {
             let want = dft_naive(&data[r * m..(r + 1) * m]);
             assert!(max_abs_diff(&got[r * m..(r + 1) * m], &want) < 1e-10);
         }
+    }
+
+    /// `batch` over `data` on a pool of `workers`, with a fresh arena.
+    fn pooled(batch: &BatchFft<f64>, data: &mut [Complex64], workers: usize) {
+        let rows = data.len() / batch.row_len();
+        let mut scratch = vec![Complex64::ZERO; workers.min(rows) * batch.scratch_len()];
+        batch.execute_pooled(data, &ThreadPool::new(workers), &mut scratch);
     }
 
     #[test]
@@ -251,8 +201,9 @@ mod tests {
         let data = rows_signal(rows, m);
         let mut serial = data.clone();
         let mut threaded = data;
-        BatchFft::new(m, Direction::Forward, 1).execute(&mut serial);
-        BatchFft::new(m, Direction::Forward, 4).execute(&mut threaded);
+        let batch = BatchFft::new(m, Direction::Forward);
+        batch.execute(&mut serial);
+        pooled(&batch, &mut threaded, 4);
         // Identical plans must give bitwise-identical results regardless of
         // the thread split.
         assert_eq!(
@@ -265,10 +216,11 @@ mod tests {
     fn more_threads_than_rows_is_fine() {
         let (rows, m) = (3, 8);
         let data = rows_signal(rows, m);
+        let batch = BatchFft::new(m, Direction::Forward);
         let mut got = data.clone();
-        BatchFft::new(m, Direction::Forward, 16).execute(&mut got);
+        pooled(&batch, &mut got, 8);
         let mut want = data;
-        BatchFft::new(m, Direction::Forward, 1).execute(&mut want);
+        batch.execute(&mut want);
         assert!(max_abs_diff(&got, &want) < 1e-15);
     }
 
@@ -277,8 +229,8 @@ mod tests {
         let (rows, m) = (7, 30);
         let data = rows_signal(rows, m);
         let mut buf = data.clone();
-        BatchFft::new(m, Direction::Forward, 2).execute(&mut buf);
-        BatchFft::new(m, Direction::Inverse, 2).execute(&mut buf);
+        BatchFft::new(m, Direction::Forward).execute(&mut buf);
+        BatchFft::new(m, Direction::Inverse).execute(&mut buf);
         assert!(max_abs_diff(&buf, &data) < 1e-11);
     }
 
@@ -290,14 +242,15 @@ mod tests {
         // split must never change a bit.
         let (rows, m) = (13, 8);
         let data = rows_signal(rows, m);
+        let batch = BatchFft::new(m, Direction::Forward);
         let mut serial = data.clone();
-        BatchFft::new(m, Direction::Forward, 1).execute(&mut serial);
+        batch.execute(&mut serial);
         for r in 0..rows {
             let want = dft_naive(&data[r * m..(r + 1) * m]);
             assert!(max_abs_diff(&serial[r * m..(r + 1) * m], &want) < 1e-12);
         }
         let mut threaded = data;
-        BatchFft::new(m, Direction::Forward, 4).execute(&mut threaded);
+        pooled(&batch, &mut threaded, 4);
         assert_eq!(
             serial.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>(),
             threaded.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>()
@@ -308,7 +261,7 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn rejects_ragged_batch() {
         let mut data = vec![Complex64::ZERO; 10];
-        BatchFft::new(4, Direction::Forward, 1).execute(&mut data);
+        BatchFft::new(4, Direction::Forward).execute(&mut data);
     }
 
     #[test]
@@ -316,7 +269,7 @@ mod tests {
         // Mixed-radix rows (m = 24) exercise the staging-copy scratch
         // path; the arena is reused across calls without re-zeroing.
         let (rows, m) = (13, 24);
-        let batch = BatchFft::new(m, Direction::Forward, 1);
+        let batch = BatchFft::new(m, Direction::Forward);
         let pool = ThreadPool::new(4);
         let parts = pool.threads().min(rows);
         let mut scratch = vec![Complex64::ZERO; parts * batch.scratch_len()];
@@ -337,48 +290,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "scratch arena too short")]
     fn pooled_execute_rejects_short_scratch() {
-        let batch = BatchFft::<f64>::new(8, Direction::Forward, 1);
+        let batch = BatchFft::<f64>::new(8, Direction::Forward);
         let pool = ThreadPool::new(2);
         let mut data = vec![Complex64::ZERO; 32];
         let mut scratch = vec![Complex64::ZERO; 7];
         batch.execute_pooled(&mut data, &pool, &mut scratch);
-    }
-
-    #[test]
-    fn strided_fft_equals_transpose_batch_transpose() {
-        // F_m ⊗ I_c  ==  P·(I_c ⊗ F_m)·P⁻¹
-        let (m, c) = (16, 6);
-        let data = rows_signal(c, m); // length m*c
-        let plan = Plan::forward(m);
-
-        let mut got = data.clone();
-        strided_fft(&mut got, &plan, c);
-
-        // stride_permute with ℓ=m makes row q of `reference` equal the
-        // strided sub-vector q of `data`.
-        let mut reference = vec![Complex64::ZERO; m * c];
-        crate::permute::stride_permute(&data, &mut reference, m);
-        BatchFft::new(m, Direction::Forward, 1).execute(&mut reference);
-        let mut back = vec![Complex64::ZERO; m * c];
-        crate::permute::stride_unpermute(&reference, &mut back, m);
-
-        assert!(max_abs_diff(&got, &back) < 1e-12);
-    }
-
-    #[test]
-    fn strided_fft_scratch_variant_matches_allocating() {
-        let (m, c) = (20, 5); // mixed-radix plan: scratch_len > m
-        let data = rows_signal(c, m);
-        let plan = Plan::forward(m);
-        let mut a = data.clone();
-        strided_fft(&mut a, &plan, c);
-        let mut b = data;
-        let mut work = vec![Complex64::ZERO; m + plan.scratch_len()];
-        strided_fft_with_scratch(&mut b, &plan, c, &mut work);
-        // Same arithmetic, same order — bitwise equal.
-        assert_eq!(
-            a.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect::<Vec<_>>(),
-            b.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect::<Vec<_>>()
-        );
     }
 }

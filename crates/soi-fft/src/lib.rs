@@ -25,7 +25,7 @@
 //! * [`bluestein`] — arbitrary-length transforms via chirp-z convolution.
 //! * [`realfft`] — real-input FFT using the half-length complex trick.
 //! * [`batch`] — batched transforms (the `I ⊗ F` Kronecker pattern of §6a),
-//!   with optional multithreading via `std::thread::scope`.
+//!   on the calling thread or row-parallel on a caller's worker pool.
 //! * [`permute`] — stride permutations `P_perm^{ℓ,n}` (Definition in §5)
 //!   and cache-blocked transposes.
 //! * [`ddfft`] — a double-double radix-2 FFT used as the high-precision
@@ -42,16 +42,13 @@ pub mod codelet;
 pub(crate) mod colfft;
 pub mod ddfft;
 pub mod dft;
-pub mod fft2d;
 pub mod flops;
 pub mod fourstep;
 pub mod mixed;
 pub mod permute;
 pub mod plan;
 pub mod realfft;
-pub mod signal;
 pub mod simd;
-pub mod splitradix;
 pub mod stockham;
 pub mod twiddle;
 

@@ -8,8 +8,6 @@
 //! SOI front end's block-by-block pack (`soi_core::front`) and the
 //! transposes of the baseline algorithm.
 
-use soi_num::{Complex, Real};
-
 /// Cache-block edge for the blocked transpose.
 const BLOCK: usize = 32;
 
@@ -49,30 +47,6 @@ pub fn stride_unpermute<T: Copy>(v: &[T], w: &mut [T], l: usize) {
     let n = v.len();
     assert!(l > 0 && n % l == 0, "stride {l} must divide length {n}");
     stride_permute(v, w, n / l);
-}
-
-/// Gather a strided sub-vector: `dst[i] = src[offset + i·stride]`.
-pub fn gather_strided<T: Copy>(src: &[T], dst: &mut [T], offset: usize, stride: usize) {
-    for (i, d) in dst.iter_mut().enumerate() {
-        *d = src[offset + i * stride];
-    }
-}
-
-/// Scatter into a strided sub-vector: `dst[offset + i·stride] = src[i]`.
-pub fn scatter_strided<T: Copy>(src: &[T], dst: &mut [T], offset: usize, stride: usize) {
-    for (i, &s) in src.iter().enumerate() {
-        dst[offset + i * stride] = s;
-    }
-}
-
-/// Pointwise multiply `data[i] *= factors[i]` (the "twiddle scaling" step
-/// between the two FFT stages of the baseline decomposition, and the
-/// demodulation step of SOI).
-pub fn pointwise_mul<T: Real>(data: &mut [Complex<T>], factors: &[Complex<T>]) {
-    assert_eq!(data.len(), factors.len());
-    for (d, &f) in data.iter_mut().zip(factors) {
-        *d = *d * f;
-    }
 }
 
 #[cfg(test)]
@@ -143,34 +117,10 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_roundtrip() {
-        let src: Vec<i64> = (0..40).collect();
-        let mut sub = vec![0i64; 10];
-        gather_strided(&src, &mut sub, 3, 4);
-        assert_eq!(sub[0], 3);
-        assert_eq!(sub[1], 7);
-        let mut dst = vec![0i64; 40];
-        scatter_strided(&sub, &mut dst, 3, 4);
-        for i in 0..10 {
-            assert_eq!(dst[3 + 4 * i], src[3 + 4 * i]);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "must divide")]
     fn stride_permute_rejects_nondivisor() {
         let v = [0u8; 10];
         let mut w = [0u8; 10];
         stride_permute(&v, &mut w, 3);
-    }
-
-    #[test]
-    fn pointwise_mul_basic() {
-        use soi_num::c64;
-        let mut d = vec![c64(1.0, 0.0), c64(0.0, 1.0)];
-        let f = vec![c64(2.0, 0.0), c64(0.0, 1.0)];
-        pointwise_mul(&mut d, &f);
-        assert_eq!(d[0], c64(2.0, 0.0));
-        assert_eq!(d[1], c64(-1.0, 0.0));
     }
 }

@@ -124,8 +124,8 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Attach a trace handle: every task of every subsequent [`run`]
-    /// (`ThreadPool::run`) is recorded as a per-task timing event tagged
+    /// Attach a trace handle: every task of every subsequent
+    /// [`run`](Self::run) is recorded as a per-task timing event tagged
     /// with its (deterministic) worker id `i % threads` — the raw material
     /// for load-imbalance analysis. Pass [`Trace::disabled`] to detach.
     pub fn set_trace(&mut self, trace: Trace) {

@@ -4,7 +4,7 @@
 //!
 //! An [`Engine`] owns everything the hot path needs — the `SoiFft`
 //! (window coefficients, FFT plans via the process-global `Planner`),
-//! lazily built `SoiWorkspace`/`SoiRealWorkspace` arenas, and a reused
+//! lazily built complex- and real-input `SoiWorkspace` arenas, and a reused
 //! output buffer — so in steady state a request allocates nothing on the
 //! compute side. [`EngineCache`] is a small LRU keyed by geometry; its
 //! capacity bounds resident arena memory, not correctness (an evicted
@@ -64,34 +64,33 @@ impl Engine {
     /// the engine's reused output buffer (valid until the next call).
     /// An out-of-range segment or band start is a `SoiError::BadSize`.
     pub fn execute(&mut self, req: &Request) -> Result<&[Complex64], SoiError> {
+        let (soi, pool) = (&self.soi, &self.pool);
         match (&req.kind, &req.samples) {
             (RequestKind::Full, Samples::Complex(x)) => {
                 let ws = self
                     .ws
-                    .get_or_insert_with(|| SoiWorkspace::with_pool(&self.soi, Arc::clone(&self.pool)));
+                    .get_or_insert_with(|| SoiWorkspace::with_pool(soi, Arc::clone(pool)));
                 self.out.resize(req.n, Complex64::ZERO);
-                self.soi.transform_into(x, &mut self.out, ws)?;
+                soi.transform_into(x, &mut self.out, ws)?;
             }
             (RequestKind::RealFull, Samples::Real(x)) => {
-                let ws = self.real_ws.get_or_insert_with(|| {
-                    SoiRealWorkspace::with_pool(&self.soi, Arc::clone(&self.pool))
-                });
+                let ws = self
+                    .real_ws
+                    .get_or_insert_with(|| SoiWorkspace::with_pool(soi, Arc::clone(pool)));
                 self.out.resize(req.n / 2 + 1, Complex64::ZERO);
-                self.soi.transform_real_into(x, &mut self.out, ws)?;
+                soi.transform_real_into(x, &mut self.out, ws)?;
             }
             (RequestKind::Segment, Samples::Complex(x)) => {
-                self.out = self.soi.transform_segment_pooled(x, req.arg, &self.pool)?;
-            }
-            (RequestKind::Band, Samples::Complex(x)) => {
-                self.out = self.soi.transform_band_pooled(x, req.arg, &self.pool)?;
+                self.out = soi.transform_segment_pooled(x, req.arg, pool)?;
             }
             (RequestKind::RealSegment, Samples::Real(x)) => {
-                self.out = self
-                    .soi
-                    .transform_real_segment_pooled(x, req.arg, &self.pool)?;
+                self.out = soi.transform_segment_pooled(x, req.arg, pool)?;
+            }
+            (RequestKind::Band, Samples::Complex(x)) => {
+                self.out = soi.transform_band_pooled(x, req.arg, pool)?;
             }
             (RequestKind::RealBand, Samples::Real(x)) => {
-                self.out = self.soi.transform_real_band_pooled(x, req.arg, &self.pool)?;
+                self.out = soi.transform_band_pooled(x, req.arg, pool)?;
             }
             // Decode pairs samples with kind, so this is unreachable for
             // wire-decoded requests; guard anyway for direct construction.

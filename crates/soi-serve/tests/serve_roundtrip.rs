@@ -82,8 +82,8 @@ fn reference(n: usize, p: usize, kind: RequestKind, arg: usize) -> Vec<Complex64
             soi.transform_real_into(&rsig(n), &mut y, &mut ws).unwrap();
             y
         }
-        RequestKind::RealSegment => soi.transform_real_segment(&rsig(n), arg).unwrap(),
-        RequestKind::RealBand => soi.transform_real_band(&rsig(n), arg).unwrap(),
+        RequestKind::RealSegment => soi.transform_segment(&rsig(n), arg).unwrap(),
+        RequestKind::RealBand => soi.transform_band(&rsig(n), arg).unwrap(),
     }
 }
 

@@ -11,7 +11,7 @@
 //!   configurable iteration counts, failing-seed reporting (with an env
 //!   var to replay exactly one case), and optional input shrinking.
 //!   Replaces `proptest`.
-//! * [`bench`] — a lightweight bench runner: warmup, iteration
+//! * [`bench`](mod@bench) — a lightweight bench runner: warmup, iteration
 //!   calibration, median-of-K timing, human-readable and JSON-line
 //!   output. Replaces `criterion` in the harness-free benches.
 //! * [`faults`] — a kill-one-rank scaffold shared by the transport and

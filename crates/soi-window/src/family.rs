@@ -100,7 +100,7 @@ impl Window for GaussianWindow {
 }
 
 /// A compactly-supported window (§8: "Another kind of window functions ŵ,
-/// those with compact support (cf. [7]), can eliminate aliasing error
+/// those with compact support (cf. \[7\]), can eliminate aliasing error
 /// completely … Theoretically, our DFT factorizations can be made exact
 /// with these window functions").
 ///

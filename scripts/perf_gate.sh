@@ -38,6 +38,10 @@ TOL="${SOI_PERF_TOL:-25}"
 STRICT="${SOI_PERF_STRICT:-0}"
 SAMPLES="${SOI_BENCH_SAMPLES:-5}"
 FAILED=""
+# Rows for check_report go through a file, not a pipe: a function at the
+# end of a pipe runs in a subshell, and its FAILED would be lost.
+ROWS="$(mktemp)"
+trap 'rm -f "$ROWS"' EXIT
 
 # top-level integer field, e.g. `"n": 1048576`
 field() {
@@ -136,7 +140,8 @@ else
             medians "$BASE" | sed 's/^/B /'
             phases "$FRESH" | sed 's/^/F /'
             medians "$FRESH" | sed 's/^/F /'
-        } | check_report pipeline 100000
+        } > "$ROWS"
+        check_report pipeline 100000 < "$ROWS"
     fi
 fi
 
@@ -159,8 +164,8 @@ else
     kernels() {
         sed -n 's/.*"kernel":"\([^"]*\)","n":\([0-9][0-9]*\)[^}]*"ns_per_point":\([0-9.]*\).*/\1\/\2 \3/p' "$1"
     }
-    { kernels "$KBASE" | sed 's/^/B /'; kernels "$KFRESH" | sed 's/^/F /'; } |
-        check_report kernels
+    { kernels "$KBASE" | sed 's/^/B /'; kernels "$KFRESH" | sed 's/^/F /'; } > "$ROWS"
+    check_report kernels < "$ROWS"
 fi
 
 # --- dist transport gate ---------------------------------------------------
@@ -197,8 +202,8 @@ else
                 if (ex >= 0 && fl >= 0) printf "exchange+fft_large %.6f\n", ex + fl
             }' "$1"
         }
-        { dist_rows "$DBASE" | sed 's/^/B /'; dist_rows "$DFRESH" | sed 's/^/F /'; } |
-            check_report dist
+        { dist_rows "$DBASE" | sed 's/^/B /'; dist_rows "$DFRESH" | sed 's/^/F /'; } > "$ROWS"
+        check_report dist < "$ROWS"
     fi
 fi
 
@@ -232,8 +237,8 @@ else
             sed -n 's/.*"x":\([0-9.]*\),[^}]*"p99_us":\([0-9.]*\).*/serve_p99\/\1 \2/p' "$1"
             sed -n 's/.*"unbatched_over_batched": \([0-9.]*\).*/unbatched_over_batched \1/p' "$1"
         }
-        { serve_rows "$SBASE" | sed 's/^/B /'; serve_rows "$SFRESH" | sed 's/^/F /'; } |
-            check_report serve
+        { serve_rows "$SBASE" | sed 's/^/B /'; serve_rows "$SFRESH" | sed 's/^/F /'; } > "$ROWS"
+        check_report serve < "$ROWS"
     fi
 fi
 

@@ -30,6 +30,10 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace (every crate)"
 cargo test -q --offline --workspace
 
+echo "==> rustdoc link check: no doc link may point at a deleted item"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --no-deps --workspace --lib --offline
+
 echo "==> perfbench's own tests (both workloads at N=2^12, traced and untraced)"
 # The benchmark is a package of its own; its tests fail on a missing
 # trace span, a negative phase residual or a library API it can no

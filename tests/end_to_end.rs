@@ -5,8 +5,8 @@
 //! soi-simnet) → validated against the from-scratch FFT library (soi-fft)
 //! and the double-double reference (soi-num/soi-fft::ddfft).
 
-use soi::core::{SoiFft, SoiParams};
-use soi::dist::{BaselineFft, ChargePolicy, DistSoiFft, ExchangeVariant};
+use soi::core::{SoiFft, SoiParams, SoiRealWorkspace, SoiWorkspace, ThreadPool};
+use soi::dist::{BaselineFft, ChargePolicy, DistSoiFft, ExchangeSchedule, ExchangeVariant};
 use soi::num::complex::rel_l2_error;
 use soi::num::stats::snr_db_vs_pairs;
 use soi::num::Complex64;
@@ -165,4 +165,76 @@ fn larger_cluster_and_odd_segment_count() {
     let design = AccuracyPreset::Digits10.design(0.25).expect("design");
     let err = rel_l2_error(&y, &exact);
     assert!(err < 10.0 * design.predicted_error(), "err {err:e}");
+}
+
+fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+}
+
+/// One distributed run on `ranks` simulated ranks, rank outputs
+/// concatenated. Works for complex and real input alike.
+fn dist_spectrum<T: soi::core::conv::Sample + soi_wire::Pod>(
+    dist: &DistSoiFft,
+    x: &[T],
+    ranks: usize,
+    schedule: ExchangeSchedule,
+) -> Vec<Complex64> {
+    let m = x.len() / ranks;
+    Cluster::ideal(ranks)
+        .run_collect(|comm| {
+            let local = &x[comm.rank() * m..(comm.rank() + 1) * m];
+            let pool = ThreadPool::serial();
+            let policy = ChargePolicy::WallClock;
+            dist.run_with_hooks(comm, local, policy, &pool, schedule, |_, _| Ok(()))
+                .expect("distributed run")
+                .0
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+#[test]
+fn distributed_soi_is_bitwise_the_single_process_soi() {
+    // Same window, same kernels, same per-row and per-segment arithmetic;
+    // only the data motion differs. So every bin the distributed run
+    // computes is bitwise the single-process transform's, complex and
+    // real, on both exchange schedules. The one exception is the real
+    // Nyquist bin, whose rank partials fold in a different order.
+    // Real input runs where R divides the P/2 kept segments.
+    for (n, p, ranks) in [
+        (1 << 12, 4, 2),
+        (1 << 12, 4, 4),
+        (1 << 14, 8, 2),
+        (1 << 14, 8, 4),
+        (1 << 14, 8, 8),
+        (1 << 16, 16, 4),
+    ] {
+        for preset in [AccuracyPreset::Digits10, AccuracyPreset::Full] {
+            let params = SoiParams::with_preset(n, p, preset).expect("params");
+            let soi = SoiFft::new(&params).expect("plan");
+            let dist = DistSoiFft::new(&params).expect("plan");
+            let x = signal(n);
+            let xr: Vec<f64> = x.iter().map(|c| c.re).collect();
+            let mut want = vec![Complex64::ZERO; n];
+            soi.transform_into(&x, &mut want, &mut SoiWorkspace::new(&soi, 1))
+                .unwrap();
+            let mut want_real = vec![Complex64::ZERO; n / 2 + 1];
+            soi.transform_real_into(&xr, &mut want_real, &mut SoiRealWorkspace::new(&soi, 1))
+                .unwrap();
+            for schedule in [ExchangeSchedule::Barriered, ExchangeSchedule::Overlapped] {
+                let what = format!("N={n} P={p} R={ranks} {preset:?} {schedule:?}");
+                let got = dist_spectrum(&dist, &x, ranks, schedule);
+                assert_eq!(bits(&got), bits(&want), "complex {what}");
+                if (p / 2) % ranks != 0 {
+                    continue;
+                }
+                let got = dist_spectrum(&dist, &xr, ranks, schedule);
+                assert_eq!(got.len(), n / 2 + 1, "real {what}");
+                assert_eq!(bits(&got[..n / 2]), bits(&want_real[..n / 2]), "real {what}");
+                let nyquist = (got[n / 2] - want_real[n / 2]).abs();
+                assert!(nyquist <= 1e-9, "real {what}: Nyquist off by {nyquist:e}");
+            }
+        }
+    }
 }
