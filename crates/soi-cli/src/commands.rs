@@ -64,17 +64,15 @@ USAGE:
       ignores any armed fault.
 
   soi serve [--addr <host:port>] [--threads <t>] [--queue <cap>]
-            [--batch <max>] [--engines <cap>] [--idle-ms <ms>]
-            [--stats <host:port>]
+            [--engines <cap>] [--idle-ms <ms>] [--stats <host:port>]
       Run the long-lived spectral-transform daemon: accepts transform
       requests (full spectra, segments, zoom bands; complex and real
-      input) from many concurrent clients, coalesces compatible requests
-      into batches through cached engines, sheds load past --queue with
+      input) from many concurrent clients, answers them in arrival order
+      through cached per-geometry engines, sheds load past --queue with
       typed Overloaded rejects, and expires queued requests past their
       deadline with typed Expired rejects — never partial results.
       --addr defaults to 127.0.0.1:0 (a free port, printed on startup).
-      Env knobs: SOI_SERVE_QUEUE/BATCH/ENGINES/IDLE_MS, SOI_NO_BATCH=1
-      (ablation: a fresh engine per request). --stats <addr> instead
+      Env knobs: SOI_SERVE_QUEUE/ENGINES/IDLE_MS. --stats <addr> instead
       connects to a running daemon and prints its accounting snapshot
       (per-tenant requests/bytes/compute, batches, plan-cache hits).
 
@@ -846,7 +844,7 @@ pub fn trace_view(a: &Args) -> CmdResult {
 /// `soi info`.
 /// `soi serve`: run the daemon (or, with `--stats <addr>`, query one).
 pub fn serve(a: &Args) -> CmdResult {
-    a.restrict(&["addr", "threads", "queue", "batch", "engines", "idle-ms", "stats"])?;
+    a.restrict(&["addr", "threads", "queue", "engines", "idle-ms", "stats"])?;
     if let Some(addr) = a.get("stats") {
         let mut client = soi_serve::ServeClient::connect(addr, Duration::from_secs(10))?;
         let snap = client.stats()?;
@@ -858,19 +856,16 @@ pub fn serve(a: &Args) -> CmdResult {
     cfg.addr = a.get("addr").unwrap_or("127.0.0.1:0").to_string();
     cfg.threads = a.get_positive("threads", 1)?;
     cfg.queue_cap = a.get_usize("queue", cfg.queue_cap)?;
-    cfg.max_batch = a.get_positive("batch", cfg.max_batch)?;
     cfg.engine_cap = a.get_positive("engines", cfg.engine_cap)?;
     let idle_ms = a.get_positive("idle-ms", cfg.idle_timeout.as_millis() as usize)?;
     cfg.idle_timeout = Duration::from_millis(idle_ms as u64);
-    let batching = cfg.batching;
     let mut server = soi_serve::Server::start(cfg)?;
-    // The bench and the CI smoke poll this exact line for the resolved
-    // port; stdout is line-buffered even when redirected.
+    // The verify script and the CI smoke poll this exact line for the
+    // resolved port; stdout is line-buffered even when redirected.
     println!("serve    : listening on {}", server.addr());
     println!(
-        "serve    : batching {}, idle timeout {idle_ms} ms (send a shutdown \
-         request or SIGKILL to stop)",
-        if batching { "on" } else { "off (SOI_NO_BATCH)" }
+        "serve    : idle timeout {idle_ms} ms (send a shutdown request or \
+         SIGKILL to stop)"
     );
     server.join();
     let snap = server.stats();

@@ -99,9 +99,9 @@ impl BaselineFft {
         // Transpose #1: M×P → P×M (I own one row of length M per p=P).
         let a = self.transpose_step(comm, x_local, m, p, policy, &mut times)?;
 
-        // Length-M FFT on each owned row (rows_here = P/P = 1 when the
+        // Length-M FFT on each owned row (one row per rank when the
         // matrix is P×M; kept general).
-        let rows_here = p / p * (a.len() / m);
+        let rows_here = a.len() / m;
         let t0 = Instant::now();
         let mut a = a;
         let mut scratch = vec![Complex64::ZERO; m];

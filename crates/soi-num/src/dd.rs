@@ -56,17 +56,17 @@ impl Dd {
     pub const ONE: Dd = Dd { hi: 1.0, lo: 0.0 };
     /// π to ~32 digits.
     pub const PI: Dd = Dd {
-        hi: 3.141592653589793116e0,
+        hi: std::f64::consts::PI,
         lo: 1.224646799147353207e-16,
     };
     /// 2π to ~32 digits.
     pub const TWO_PI: Dd = Dd {
-        hi: 6.283185307179586232e0,
+        hi: std::f64::consts::TAU,
         lo: 2.449293598294706414e-16,
     };
     /// π/2 to ~32 digits.
     pub const FRAC_PI_2: Dd = Dd {
-        hi: 1.570796326794896558e0,
+        hi: std::f64::consts::FRAC_PI_2,
         lo: 6.123233995736766036e-17,
     };
 

@@ -15,7 +15,7 @@
 //! 7-digit textbook polynomial.
 
 /// `2/sqrt(pi)`.
-pub const FRAC_2_SQRT_PI: f64 = 1.128_379_167_095_512_57;
+pub const FRAC_2_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
 /// `sqrt(pi)`.
 pub const SQRT_PI: f64 = 1.772_453_850_905_516_03;
 

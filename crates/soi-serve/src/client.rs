@@ -69,8 +69,8 @@ impl ServeClient {
         write_frame(&mut self.stream, TAG_REQUEST, &req.encode(), None, self.timeout)
     }
 
-    /// Receive the next reply frame (responses may arrive out of request
-    /// order when the server batches; correlate by id).
+    /// Receive the next reply frame (responses come back in request
+    /// order, but an admission reject can overtake them; correlate by id).
     pub fn recv(&mut self) -> Result<Reply, WireError> {
         let tag = read_frame_into(&mut self.stream, &mut self.buf, None, self.timeout)?;
         decode_reply(tag, &self.buf)

@@ -1,6 +1,6 @@
 //! Executor-side transform engines: a prepared SOI pipeline plus its
-//! reusable workspace arenas, cached per `(N, P, digits)` so a batch of
-//! compatible requests pays planning and allocation once.
+//! reusable workspace arenas, cached per `(N, P, digits)` so the requests
+//! of one geometry pay planning and allocation once.
 //!
 //! An [`Engine`] owns everything the hot path needs — the `SoiFft`
 //! (window coefficients, FFT plans via the process-global `Planner`),

@@ -17,8 +17,8 @@
 //!   `transform_into`/`transform_real_into` on the same input (the
 //!   integration tests and `soi request --check` assert exactly that).
 //! * [`server`] — accept/reader threads feeding a bounded admission
-//!   queue; one executor draining it in geometry-coalesced batches
-//!   through an LRU of prepared [`engine::Engine`]s. Backpressure is a
+//!   queue; one executor draining it in batches, answering in arrival
+//!   order through an LRU of prepared [`engine::Engine`]s. Backpressure is a
 //!   typed `Overloaded` reject, deadline expiry a typed `Expired` —
 //!   never a partial result, never an unbounded queue.
 //! * [`engine`] — prepared pipeline + workspace arenas per

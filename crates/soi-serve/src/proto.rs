@@ -10,8 +10,9 @@
 //!
 //! One request carries its whole input signal plus the transform
 //! geometry; one response carries the requested bins. Correlation is by
-//! client-chosen `id` (the server may reorder responses across requests
-//! on one connection when batching groups them).
+//! client-chosen `id`: the server answers one connection's admitted
+//! requests in the order they were sent, but a reject from admission
+//! control is sent at once and can overtake them.
 
 use soi_num::Complex64;
 use soi_wire::pod::{PayloadReader, PayloadWriter};
@@ -38,8 +39,7 @@ pub const TAG_SHUTDOWN: u8 = 0x25;
 pub const TAG_BYE: u8 = 0x26;
 
 /// What slice of the spectrum a request wants, and from which input
-/// domain. Part of the batching key: only requests of the same kind
-/// coalesce.
+/// domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// All `N` bins from complex samples.

@@ -1,5 +1,5 @@
 //! The serve scheduler: accept/reader threads feed a bounded admission
-//! queue; one executor thread drains it in geometry-coalesced batches.
+//! queue; one executor thread drains it in batches.
 //!
 //! Threading model:
 //!
@@ -12,14 +12,14 @@
 //!   overloaded) are answered right here with a typed [`Reject`]; the
 //!   queue only ever holds executable work. An idle connection times out
 //!   and is closed; a vanished client is counted and released.
-//! * **Executor thread** (exactly one) — drains up to `max_batch` jobs
-//!   at a time, groups them by `(N, P, digits, kind)`, and runs each
-//!   group through one cached [`Engine`](crate::engine::Engine), so
-//!   compatible requests share plans, window coefficients, and workspace
-//!   arenas. One executor means compute results are produced in a
-//!   deterministic order for a given queue content; concurrency across
-//!   *requests* comes from batching and from the worker pool inside each
-//!   transform, not from racing executors.
+//! * **Executor thread** (exactly one) — drains up to `MAX_DRAIN`
+//!   jobs at a time and answers them in arrival order, each through the
+//!   cached [`Engine`](crate::engine::Engine) for its `(N, P, digits)`,
+//!   so requests of one geometry share plans, window coefficients, and
+//!   workspace arenas. One executor answers each connection's admitted
+//!   requests in the order they were sent; concurrency inside a request
+//!   comes from the worker pool of each transform, not from racing
+//!   executors.
 //!
 //! Deadlines are relative budgets from arrival. The admission queue
 //! re-checks them at execute time: a request that expired while queued
@@ -49,17 +49,11 @@ pub struct ServeConfig {
     /// Admission queue capacity; a request arriving past it is shed with
     /// a typed `Overloaded` reject.
     pub queue_cap: usize,
-    /// Most requests drained into one executor pass.
-    pub max_batch: usize,
     /// Resident engine (geometry) cap for the executor cache.
     pub engine_cap: usize,
     /// Reader-side idle deadline: a connection silent this long is
     /// closed and its thread released.
     pub idle_timeout: Duration,
-    /// Batch compatible requests through shared engines. Off, every
-    /// request builds a fresh engine — the unamortized baseline the
-    /// `SOI_NO_BATCH=1` ablation measures.
-    pub batching: bool,
     /// Per-frame write deadline.
     pub op_timeout: Duration,
 }
@@ -70,10 +64,8 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             threads: 1,
             queue_cap: 64,
-            max_batch: 32,
             engine_cap: 8,
             idle_timeout: Duration::from_secs(30),
-            batching: true,
             op_timeout: Duration::from_secs(20),
         }
     }
@@ -85,24 +77,17 @@ fn env_usize(name: &str) -> Option<usize> {
 
 impl ServeConfig {
     /// Defaults overridden by the environment: `SOI_SERVE_QUEUE`,
-    /// `SOI_SERVE_BATCH`, `SOI_SERVE_ENGINES`, `SOI_SERVE_IDLE_MS`, and
-    /// the ablation switch `SOI_NO_BATCH=1`.
+    /// `SOI_SERVE_ENGINES` and `SOI_SERVE_IDLE_MS`.
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
         if let Some(v) = env_usize("SOI_SERVE_QUEUE") {
             cfg.queue_cap = v;
-        }
-        if let Some(v) = env_usize("SOI_SERVE_BATCH") {
-            cfg.max_batch = v;
         }
         if let Some(v) = env_usize("SOI_SERVE_ENGINES") {
             cfg.engine_cap = v;
         }
         if let Some(v) = env_usize("SOI_SERVE_IDLE_MS") {
             cfg.idle_timeout = Duration::from_millis(v as u64);
-        }
-        if std::env::var("SOI_NO_BATCH").map(|v| v == "1").unwrap_or(false) {
-            cfg.batching = false;
         }
         cfg
     }
@@ -344,9 +329,15 @@ fn reader_loop(mut conn: ServiceConn, shared: Arc<Shared>, token: ShutdownToken)
     shared.stats.connection_closed();
 }
 
+/// Most jobs the executor takes off the admission queue per pass. Each
+/// is answered alone, in arrival order. Drained jobs free their queue
+/// slots, so up to `queue_cap + MAX_DRAIN - 1` admitted jobs can be
+/// waiting at once; the stats frame reports the passes as batches.
+const MAX_DRAIN: usize = 32;
+
 fn executor_loop(shared: Arc<Shared>) {
     let pool = Arc::new(ThreadPool::new(shared.cfg.threads));
-    let mut engines = EngineCache::new(shared.cfg.engine_cap, Arc::clone(&pool));
+    let mut engines = EngineCache::new(shared.cfg.engine_cap, pool);
     let trace = Trace::disabled();
     let mut batch: Vec<Job> = Vec::new();
     let mut payload: Vec<u8> = Vec::new();
@@ -361,18 +352,15 @@ fn executor_loop(shared: Arc<Shared>) {
                 // been answered.
                 return;
             }
-            let take = if shared.cfg.batching { shared.cfg.max_batch } else { 1 };
-            let take = take.min(q.len());
+            let take = MAX_DRAIN.min(q.len());
             batch.extend(q.drain(..take));
         }
         let size = batch.len() as u64;
         shared.stats.record_batch(size);
         trace.span_begin("serve_batch", None);
         trace.counter("serve.batch_size", size as f64);
-        if shared.cfg.batching {
-            run_batched(&mut batch, &mut engines, &shared, &mut payload);
-        } else {
-            run_unbatched(&mut batch, &pool, &shared, &mut payload);
+        for job in &batch {
+            answer(job, &mut engines, &shared, &mut payload);
         }
         trace.span_end("serve_batch", None);
         batch.clear();
@@ -439,57 +427,5 @@ fn answer(
             shared.stats.record_bad(&job.req.tenant);
             reject(&job.writer, job.req.id, RejectCode::BadRequest, e.to_string());
         }
-    }
-}
-
-/// Batched path: group the drained jobs by engine key, first-appearance
-/// order, FIFO within each group, and run every group through one cached
-/// engine. Engine state (plans, coefficients, arenas) is hot across the
-/// whole group.
-fn run_batched(
-    batch: &mut Vec<Job>,
-    engines: &mut EngineCache,
-    shared: &Shared,
-    payload: &mut Vec<u8>,
-) {
-    // Geometry key per job; stable grouping without a HashMap allocation
-    // per batch (batches are small — max_batch defaults to 32).
-    let mut order: Vec<usize> = Vec::with_capacity(batch.len());
-    let mut keys: Vec<(usize, usize, u32, RequestKind)> = Vec::with_capacity(batch.len());
-    for job in batch.iter() {
-        keys.push((job.req.n, job.req.p, job.req.digits, job.req.kind));
-    }
-    let mut seen: Vec<(usize, usize, u32, RequestKind)> = Vec::new();
-    for key in &keys {
-        if !seen.contains(key) {
-            seen.push(*key);
-        }
-    }
-    for key in &seen {
-        for (i, k) in keys.iter().enumerate() {
-            if k == key {
-                order.push(i);
-            }
-        }
-    }
-    for &i in &order {
-        answer(&batch[i], engines, shared, payload);
-    }
-}
-
-/// Unbatched ablation: every request plans and allocates from scratch —
-/// a fresh engine (pipeline, window design, workspace arenas) per
-/// request. The process-global `Planner` twiddle cache is still shared
-/// (it is process-wide by design), so the ablation isolates the
-/// *serve-layer* amortization: engine reuse and grouped execution.
-fn run_unbatched(
-    batch: &mut Vec<Job>,
-    pool: &Arc<ThreadPool>,
-    shared: &Shared,
-    payload: &mut Vec<u8>,
-) {
-    for job in batch.iter() {
-        let mut fresh = EngineCache::new(1, Arc::clone(pool));
-        answer(job, &mut fresh, shared, payload);
     }
 }

@@ -75,8 +75,8 @@ fn run_clients(addr: &str, reqs: &[Request], threads: usize) -> BTreeMap<u64, Ve
                 let mut client = ServeClient::connect(&addr, TIMEOUT).unwrap();
                 let mine: Vec<&Request> =
                     reqs.iter().skip(t).step_by(threads).collect();
-                // Pipeline all sends, then drain: responses may arrive
-                // reordered across ids (batch grouping), so key by id.
+                // Pipeline all sends, then drain; key by id so every
+                // thread's responses merge into one map.
                 for req in &mine {
                     client.send_request(req).unwrap();
                 }

@@ -12,6 +12,16 @@ use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
+/// One request of each kind, with its segment or band argument.
+const KINDS: [(RequestKind, usize); 6] = [
+    (RequestKind::Full, 0),
+    (RequestKind::Segment, 2),
+    (RequestKind::Band, 777),
+    (RequestKind::RealFull, 0),
+    (RequestKind::RealSegment, 1),
+    (RequestKind::RealBand, 37),
+];
+
 fn csig(n: usize) -> Vec<Complex64> {
     (0..n)
         .map(|i| {
@@ -100,15 +110,7 @@ fn mixed_request_kinds_match_direct_pipeline_bitwise() {
     let mut client = ServeClient::connect(server.addr(), TIMEOUT).unwrap();
     let n = 4096;
     let p = 4;
-    let cases = [
-        (RequestKind::Full, 0),
-        (RequestKind::Segment, 2),
-        (RequestKind::Band, 777),
-        (RequestKind::RealFull, 0),
-        (RequestKind::RealSegment, 1),
-        (RequestKind::RealBand, 37),
-    ];
-    for (id, &(kind, arg)) in cases.iter().enumerate() {
+    for (id, &(kind, arg)) in KINDS.iter().enumerate() {
         let reply = client.call(&request(id as u64, n, p, kind, arg)).unwrap();
         match reply {
             Reply::Ok(resp) => {
@@ -123,36 +125,31 @@ fn mixed_request_kinds_match_direct_pipeline_bitwise() {
 }
 
 #[test]
-fn unbatched_ablation_is_bitwise_identical_to_batched() {
-    let run = |batching: bool| -> Vec<Vec<Complex64>> {
-        let mut server = start(ServeConfig {
-            batching,
-            ..ServeConfig::default()
-        });
-        let mut client = ServeClient::connect(server.addr(), TIMEOUT).unwrap();
-        let mut out = Vec::new();
-        for (id, (kind, arg)) in [
-            (RequestKind::Full, 0),
-            (RequestKind::Segment, 3),
-            (RequestKind::RealFull, 0),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            match client.call(&request(id as u64, 2048, 4, kind, arg)).unwrap() {
-                Reply::Ok(resp) => out.push(resp.bins),
-                other => panic!("expected bins, got {other:?}"),
-            }
-        }
-        client.shutdown().unwrap();
-        server.join();
-        out
-    };
-    let batched = run(true);
-    let unbatched = run(false);
-    for (a, b) in batched.iter().zip(&unbatched) {
-        assert_bits_eq(a, b);
+fn replies_on_one_connection_come_back_in_send_order() {
+    let mut server = start(ServeConfig::default());
+    let mut client = ServeClient::connect(server.addr(), TIMEOUT).unwrap();
+    // A slow first request keeps the executor busy while the next twelve
+    // queue up, so they are drained together as one batch. They mix two
+    // geometries and six kinds, interleaved, so any regrouping of the
+    // batch would show as reordered ids.
+    client
+        .send_request(&request(0, 1 << 16, 8, RequestKind::Full, 0))
+        .unwrap();
+    for id in 1..=12u64 {
+        let n = if id % 2 == 0 { 1024 } else { 2048 };
+        let (kind, arg) = KINDS[(id as usize - 1) % KINDS.len()];
+        client.send_request(&request(id, n, 4, kind, arg)).unwrap();
     }
+    let mut ids = Vec::new();
+    for _ in 0..=12 {
+        match client.recv().unwrap() {
+            Reply::Ok(resp) => ids.push(resp.id),
+            other => panic!("expected bins, got {other:?}"),
+        }
+    }
+    assert_eq!(ids, (0..=12).collect::<Vec<u64>>(), "reply order");
+    client.shutdown().unwrap();
+    server.join();
 }
 
 #[test]

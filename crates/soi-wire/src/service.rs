@@ -70,21 +70,19 @@ impl ServiceListener {
     /// shutdown token has fired — including when the wake-up arrives as
     /// the token's own throwaway connection.
     pub fn accept(&self) -> Result<Option<ServiceConn>, WireError> {
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return Ok(None);
-            }
-            let (stream, _) = self
-                .listener
-                .accept()
-                .map_err(|e| WireError::Io(format!("service accept: {e}")))?;
-            if self.stop.load(Ordering::SeqCst) {
-                // The shutdown token's wake-up poke (or a client racing
-                // the shutdown); either way, stop accepting.
-                return Ok(None);
-            }
-            return ServiceConn::new(stream, self.op_timeout).map(Some);
+        if self.stop.load(Ordering::SeqCst) {
+            return Ok(None);
         }
+        let (stream, _) = self
+            .listener
+            .accept()
+            .map_err(|e| WireError::Io(format!("service accept: {e}")))?;
+        if self.stop.load(Ordering::SeqCst) {
+            // The shutdown token's wake-up poke (or a client racing
+            // the shutdown); either way, stop accepting.
+            return Ok(None);
+        }
+        ServiceConn::new(stream, self.op_timeout).map(Some)
     }
 }
 

@@ -34,6 +34,9 @@ echo "==> rustdoc link check: no doc link may point at a deleted item"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
     cargo doc --no-deps --workspace --lib --offline
 
+echo "==> clippy: deny-by-default lints (warnings are reported, not fatal)"
+cargo clippy --workspace --all-targets --offline
+
 echo "==> perfbench's own tests (both workloads at N=2^12, traced and untraced)"
 # The benchmark is a package of its own; its tests fail on a missing
 # trace span, a negative phase residual or a library API it can no
@@ -129,7 +132,7 @@ rm -f "$serve_log"
 echo "==> cargo build --release --offline -p soi-bench --benches"
 cargo build --release --offline -p soi-bench --benches
 
-echo "==> per-phase perf gate vs committed BENCH_pipeline.json"
+echo "==> kernel perf gate vs committed BENCH_kernels.json"
 if [ "${SOI_PERF_SKIP:-0}" = "1" ]; then
     echo "    skipped (SOI_PERF_SKIP=1)"
 else
@@ -141,21 +144,15 @@ fi
 
 if [ "${1:-}" = "--with-benches" ]; then
     echo "==> smoke-run the harness-free benches (quick settings, small N)"
-    # SOI_BENCH_PIPELINE_N keeps the threaded-scaling bench tiny; the
-    # *_OUT overrides park smoke-quality outputs in target/ so the
+    # The *_OUT overrides park smoke-quality outputs in target/ so the
     # committed BENCH_*.json baselines are never overwritten by a smoke
-    # run (refresh them with scripts/bench_refresh.sh).
+    # run (refresh BENCH_kernels.json with
+    # `cargo bench --offline -p soi-bench --bench kernel_report`).
     mkdir -p target/bench_smoke
     SOI_BENCH_SAMPLES=3 SOI_BENCH_WARMUP_MS=2 SOI_BENCH_TARGET_MS=2 \
-    SOI_BENCH_PIPELINE_N=16384 \
-    SOI_BENCH_DIST_ITERS=2 SOI_BENCH_DIST_N=16384 \
     SOI_BENCH_FAULT_N=16384 SOI_BENCH_FAULT_SAMPLES=1 \
-    SOI_BENCH_SERVE_N=4096 SOI_BENCH_SERVE_REQS=5 SOI_BENCH_SERVE_CLIENTS=4 \
-    SOI_BENCH_PIPELINE_OUT="$PWD/target/bench_smoke/BENCH_pipeline.json" \
     SOI_BENCH_KERNELS_OUT="$PWD/target/bench_smoke/BENCH_kernels.json" \
-    SOI_BENCH_DIST_OUT="$PWD/target/bench_smoke/BENCH_dist.json" \
     SOI_BENCH_FAULTS_OUT="$PWD/target/bench_smoke/BENCH_faults.json" \
-    SOI_BENCH_SERVE_OUT="$PWD/target/bench_smoke/BENCH_serve.json" \
         cargo bench --offline -p soi-bench
 fi
 
