@@ -2,8 +2,8 @@
 //! peak, recorded to `BENCH_kernels.json` at the repo root.
 //!
 //! One row per butterfly engine the planner can dispatch to (Stockham,
-//! mixed-radix, four-step, Bluestein) plus the SOI convolution kernel and
-//! the segment/band (zoom) row kernel.
+//! mixed-radix, four-step, Bluestein) plus the SOI convolution kernel on
+//! complex and on real input, and the segment/band (zoom) row kernel.
 //! GFLOPS use the paper's §7.1 nominal conventions from
 //! [`soi_fft::flops`] (`5N·log₂N` per FFT, `8B` real ops per convolution
 //! output point); the peak reference is either `SOI_PEAK_GFLOPS` (set it
@@ -19,7 +19,8 @@
 use soi_bench::workload::tone_mix;
 use soi_core::coeff::ConvCoefficients;
 use soi_core::conv::{
-    convolve, convolve_portable, kernel_name, zoom_pooled, zoom_portable, ZoomTaps,
+    convolve, convolve_portable, convolve_real, convolve_real_portable, kernel_name, zoom_pooled,
+    zoom_portable, Sample, ZoomTaps,
 };
 use soi_core::{SoiFft, SoiParams};
 use soi_fft::flops::{conv_flops, fft_flops};
@@ -277,6 +278,37 @@ fn bench_conv_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
             n: cfg.n_prime,
             stats,
             flops: conv_flops(cfg.n_prime, cfg.taps()),
+            transforms: 1.0,
+            dispatch: "portable".to_string(),
+        });
+    }
+
+    // The r2c path's kernel on the real parts of the same input: half the
+    // complex kernel's flops per output point.
+    let xr = AlignedBuf::from_slice(&xext.iter().map(|c| c.re).collect::<Vec<f64>>());
+    let real_flops = conv_flops(cfg.n_prime, cfg.taps()) * <f64 as Sample>::CONV_FLOP_SHARE;
+    let stats = g.bench(&format!("conv-real[{}]/{}", kernel_name(), cfg.n_prime), || {
+        convolve_real(shape, coeffs, &xr, &mut out);
+        black_box(out[0])
+    });
+    rows.push(Row {
+        kernel: format!("conv-real[{}]", kernel_name()),
+        n: cfg.n_prime,
+        stats,
+        flops: real_flops,
+        transforms: 1.0,
+        dispatch: kernel_name().to_string(),
+    });
+    if kernel_name() != "portable" {
+        let stats = g.bench(&format!("conv-real[portable]/{}", cfg.n_prime), || {
+            convolve_real_portable(shape, coeffs, &xr, &mut out);
+            black_box(out[0])
+        });
+        rows.push(Row {
+            kernel: "conv-real[portable]".to_string(),
+            n: cfg.n_prime,
+            stats,
+            flops: real_flops,
             transforms: 1.0,
             dispatch: "portable".to_string(),
         });

@@ -45,6 +45,10 @@ pub struct ConvCoefficients {
     /// The AVX2 kernels read it as interleaved `[re im re im]` pairs, so
     /// it is cache-line aligned.
     pub coef: AlignedBuf<Complex64>,
+    /// The same taps as split planes for the real-input convolution: per
+    /// row residue `r`, the `(B+1)·P` real parts, then the `(B+1)·P`
+    /// imaginary parts, at `[r·2(B+1)P + part·(B+1)P + b·P + s]`.
+    pub(crate) real_planes: AlignedBuf<f64>,
     /// Demodulation weights `1/ŵ(k)` for `k < M`.
     pub demod: AlignedBuf<Complex64>,
     mu: usize,
@@ -73,9 +77,15 @@ impl ConvCoefficients {
                 }
             }
         }
+        let mut real_planes = Vec::with_capacity(2 * coef.len());
+        for row in coef.chunks_exact(taps * p) {
+            real_planes.extend(row.iter().map(|c| c.re));
+            real_planes.extend(row.iter().map(|c| c.im));
+        }
         let demod: Vec<Complex64> = (0..cfg.m).map(|k| w_hat(cfg, k as f64).inv()).collect();
         Self {
             coef: AlignedBuf::from_slice(&coef),
+            real_planes: AlignedBuf::from_slice(&real_planes),
             demod: AlignedBuf::from_slice(&demod),
             mu,
             b: taps,
@@ -95,9 +105,11 @@ impl ConvCoefficients {
         self.coef.len()
     }
 
-    /// Total table memory in bytes (coefficients and demodulation).
+    /// Total table memory in bytes (coefficients in both layouts and
+    /// demodulation).
     pub fn memory_bytes(&self) -> usize {
         (self.coef.len() + self.demod.len()) * std::mem::size_of::<Complex64>()
+            + self.real_planes.len() * std::mem::size_of::<f64>()
     }
 
     /// μ (row residues in the table).
@@ -164,6 +176,19 @@ mod tests {
         assert_eq!(c.distinct(), cfg.mu * cfg.p * cfg.taps());
         assert_eq!(c.demod.len(), cfg.m);
         assert!(c.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn real_planes_split_each_residue_of_the_interleaved_table() {
+        let cfg = small_cfg();
+        let c = ConvCoefficients::new(&cfg);
+        let bp = cfg.taps() * cfg.p;
+        assert_eq!(c.real_planes.len(), 2 * c.coef.len());
+        for (q, t) in c.coef.iter().enumerate() {
+            let (r, i) = (q / bp, q % bp);
+            assert_eq!(c.real_planes[2 * r * bp + i].to_bits(), t.re.to_bits(), "re {q}");
+            assert_eq!(c.real_planes[(2 * r + 1) * bp + i].to_bits(), t.im.to_bits(), "im {q}");
+        }
     }
 
     #[test]

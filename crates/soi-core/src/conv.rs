@@ -334,11 +334,11 @@ mod avx2 {
         }
     }
 
-    /// One lane-quad × one tap of the real-input kernel: the four real
+    /// One lane-quad × one tap of the real zoom row: the four real
     /// samples are loaded once and duplicated across re/im slots
     /// (`[x0 x0 x1 x1]`, `[x2 x2 x3 x3]`), so one FMA against the
     /// *interleaved* complex tap register advances both components of two
-    /// lanes — 2 FMAs per tap per 4 lanes, half the complex kernel's 4.
+    /// lanes.
     ///
     /// SAFETY: caller guarantees avx2+fma and `ci + 4 ≤ b·p` for the row
     /// slices passed in.
@@ -359,10 +359,49 @@ mod avx2 {
         *a23 = _mm256_fmadd_pd(t23, x23, *a23);
     }
 
+    /// Four lanes × one tap of the real-input convolution from split
+    /// tap planes: `re += t.re·x`, `im += t.im·x`, one register per
+    /// component, so the tap loop is only loads and FMAs.
+    ///
+    /// SAFETY: caller guarantees avx2+fma, that `re_taps` and `im_taps`
+    /// hold `ci + 4` values and `xin` `ci + 4` samples.
+    #[inline(always)]
+    unsafe fn real_split_quad(
+        re: &mut __m256d,
+        im: &mut __m256d,
+        re_taps: *const f64,
+        im_taps: *const f64,
+        xin: *const f64,
+        ci: usize,
+    ) {
+        let x = _mm256_loadu_pd(xin.add(ci));
+        *re = _mm256_fmadd_pd(_mm256_loadu_pd(re_taps.add(ci)), x, *re);
+        *im = _mm256_fmadd_pd(_mm256_loadu_pd(im_taps.add(ci)), x, *im);
+    }
+
+    /// Stores four lanes held as component planes `[re0..re3]`,
+    /// `[im0..im3]` to `dst` as interleaved `[re im]` pairs: two unpacks
+    /// give `[re0 im0 re2 im2]` and `[re1 im1 re3 im3]`, two 128-bit
+    /// permutes put the lanes in order.
+    ///
+    /// SAFETY: caller guarantees avx2 and that `dst` has 8 writable values.
+    #[inline(always)]
+    unsafe fn store_interleaved(dst: *mut f64, re: __m256d, im: __m256d) {
+        let lo = _mm256_unpacklo_pd(re, im);
+        let hi = _mm256_unpackhi_pd(re, im);
+        _mm256_storeu_pd(dst, _mm256_permute2f128_pd(lo, hi, 0x20));
+        _mm256_storeu_pd(dst.add(4), _mm256_permute2f128_pd(lo, hi, 0x31));
+    }
+
     /// Real-input AVX2+FMA kernel, selected at runtime by
-    /// [`super::convolve_real`]. Same chunk/jam structure as the complex
-    /// kernel; no addsub reconciliation is needed because the interleaved
-    /// accumulators already hold `[re im re im]`.
+    /// [`super::convolve_real`]. Reads the split tap planes
+    /// ([`ConvCoefficients::real_planes`]) and walks each row's lanes in
+    /// octets with eight FMA chains (re/im × two lane quads × the
+    /// even/odd tap-block banks), then one quad with four, then a scalar
+    /// tail. Each output component is one FMA chain per bank — bank a
+    /// over even tap blocks, bank b over odd ones, then a + b — the
+    /// chains the complex kernel runs on `(x, 0)`, so the output is
+    /// bitwise that kernel's.
     ///
     /// SAFETY: caller checked [`available`] and validated slice extents.
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -375,47 +414,75 @@ mod avx2 {
         let ConvShape { mu, nu, b, p } = shape;
         let rows = out.len() / p;
         let chunks = rows / mu;
+        let bp = b * p;
         let zero = _mm256_setzero_pd();
         for c in 0..chunks {
             for r in 0..mu {
                 let j = c * mu + r;
                 let k0 = c * nu + r * nu / mu;
-                let out_row = &mut out[j * p..(j + 1) * p];
-                let trow = r * b * p;
-                let taps = coeffs.coef[trow..trow + b * p].as_ptr() as *const f64;
-                let xrow = &xext[k0 * p..];
+                let out_row = out[j * p..(j + 1) * p].as_mut_ptr() as *mut f64;
+                let planes = &coeffs.real_planes[2 * r * bp..2 * (r + 1) * bp];
+                let (tre, tim) = (planes.as_ptr(), planes[bp..].as_ptr());
+                let xrow = &xext[k0 * p..k0 * p + bp];
                 let xin = xrow.as_ptr();
                 let mut s = 0;
-                while s + 4 <= p {
-                    // 2 quad-registers × 2 jammed tap banks = 4 FMA chains.
-                    let (mut a01, mut a23) = (zero, zero);
-                    let (mut b01, mut b23) = (zero, zero);
+                while s + 8 <= p {
+                    // re/im × 2 lane quads × 2 jammed tap banks = 8 FMA chains.
+                    let (mut re0a, mut im0a, mut re1a, mut im1a) = (zero, zero, zero, zero);
+                    let (mut re0b, mut im0b, mut re1b, mut im1b) = (zero, zero, zero, zero);
                     let mut blk = 0;
                     while blk + 2 <= b {
                         let ci = blk * p + s;
-                        real_quad(&mut a01, &mut a23, taps, xin, ci);
-                        real_quad(&mut b01, &mut b23, taps, xin, ci + p);
+                        let cj = ci + p;
+                        real_split_quad(&mut re0a, &mut im0a, tre, tim, xin, ci);
+                        real_split_quad(&mut re1a, &mut im1a, tre, tim, xin, ci + 4);
+                        real_split_quad(&mut re0b, &mut im0b, tre, tim, xin, cj);
+                        real_split_quad(&mut re1b, &mut im1b, tre, tim, xin, cj + 4);
                         blk += 2;
                     }
                     if blk < b {
-                        real_quad(&mut a01, &mut a23, taps, xin, blk * p + s);
+                        let ci = blk * p + s;
+                        real_split_quad(&mut re0a, &mut im0a, tre, tim, xin, ci);
+                        real_split_quad(&mut re1a, &mut im1a, tre, tim, xin, ci + 4);
                     }
-                    let r01 = _mm256_add_pd(a01, b01);
-                    let r23 = _mm256_add_pd(a23, b23);
-                    _mm256_storeu_pd(out_row.as_mut_ptr().add(s) as *mut f64, r01);
-                    _mm256_storeu_pd(out_row.as_mut_ptr().add(s + 2) as *mut f64, r23);
+                    let dst = out_row.add(2 * s);
+                    store_interleaved(dst, _mm256_add_pd(re0a, re0b), _mm256_add_pd(im0a, im0b));
+                    store_interleaved(
+                        dst.add(8),
+                        _mm256_add_pd(re1a, re1b),
+                        _mm256_add_pd(im1a, im1b),
+                    );
+                    s += 8;
+                }
+                if s + 4 <= p {
+                    let (mut rea, mut ima, mut reb, mut imb) = (zero, zero, zero, zero);
+                    let mut blk = 0;
+                    while blk + 2 <= b {
+                        let ci = blk * p + s;
+                        real_split_quad(&mut rea, &mut ima, tre, tim, xin, ci);
+                        real_split_quad(&mut reb, &mut imb, tre, tim, xin, ci + p);
+                        blk += 2;
+                    }
+                    if blk < b {
+                        real_split_quad(&mut rea, &mut ima, tre, tim, xin, blk * p + s);
+                    }
+                    store_interleaved(
+                        out_row.add(2 * s),
+                        _mm256_add_pd(rea, reb),
+                        _mm256_add_pd(ima, imb),
+                    );
                     s += 4;
                 }
-                // Trailing lanes (never hit in real configs: P is even
-                // and ≥ 4 whenever the r2c path is admissible).
+                // Trailing `P mod 4` lanes, one chain each.
                 while s < p {
-                    let mut acc = Complex64::ZERO;
+                    let (mut re, mut im) = (0.0f64, 0.0f64);
                     for blk in 0..b {
-                        let t = coeffs.coef[trow + blk * p + s];
-                        let xv = xrow[blk * p + s];
-                        acc = Complex64::new(t.re.mul_add(xv, acc.re), t.im.mul_add(xv, acc.im));
+                        let ci = blk * p + s;
+                        re = planes[ci].mul_add(xrow[ci], re);
+                        im = planes[bp + ci].mul_add(xrow[ci], im);
                     }
-                    out_row[s] = acc;
+                    *out_row.add(2 * s) = re;
+                    *out_row.add(2 * s + 1) = im;
                     s += 1;
                 }
             }
@@ -563,18 +630,25 @@ pub fn convolve_pooled(
 /// With `x` real, the complex multiply-accumulate per tap collapses to
 /// two real FMAs — `acc.re += t.re·x`, `acc.im += t.im·x` — half the
 /// arithmetic of the complex kernel, and the input stream halves in
-/// bytes. Runtime dispatch mirrors [`convolve`]: an AVX2+FMA kernel
-/// where available, the portable register-tiled kernel otherwise; each
-/// path is bitwise deterministic run-to-run and across worker counts.
+/// bytes. Runtime dispatch mirrors [`convolve`]: an AVX2+FMA kernel over
+/// the split re/im tap planes where available, the portable
+/// register-tiled kernel otherwise; each path is bitwise deterministic
+/// run-to-run and across worker counts, and the AVX2 path is bitwise
+/// the complex AVX2 kernel run on `(x, 0)`.
 pub fn convolve_real(
     shape: ConvShape,
     coeffs: &ConvCoefficients,
     xext: &[f64],
     out: &mut [Complex64],
 ) {
-    let ConvShape { mu, p, .. } = shape;
+    let ConvShape { mu, b, p, .. } = shape;
     let rows = out.len() / p;
     assert_eq!(out.len(), rows * p, "out must be whole rows");
+    assert_eq!(
+        coeffs.coef.len(),
+        mu * b * p,
+        "coefficients do not match the shape"
+    );
     assert!(rows % mu == 0, "rows {rows} must be a multiple of mu {mu}");
     assert!(
         xext.len() >= shape.required_input(rows),
@@ -1250,40 +1324,64 @@ mod tests {
         (0..n).map(|i| (i as f64 * 0.23).sin() + 0.1).collect()
     }
 
+    /// Geometries whose `P` reaches every lane path of the real kernel:
+    /// one quad (4), a quad and the scalar tail (6), one octet (8) and two
+    /// octets (16), each with its own coefficient table.
+    fn real_kernel_setups() -> Vec<(crate::params::SoiConfig, ConvCoefficients, ConvShape)> {
+        [(1usize << 12, 4usize), (9216, 6), (1 << 14, 8), (1 << 14, 16)]
+            .into_iter()
+            .map(|(n, p)| {
+                let cfg = SoiParams::with_preset(n, p, AccuracyPreset::Digits10)
+                    .unwrap()
+                    .resolve();
+                let coeffs = ConvCoefficients::new(&cfg);
+                let shape = ConvShape {
+                    mu: cfg.mu,
+                    nu: cfg.nu,
+                    b: cfg.taps(),
+                    p,
+                };
+                (cfg, coeffs, shape)
+            })
+            .collect()
+    }
+
     #[test]
     fn real_kernel_is_bitwise_the_complex_kernel_on_embedded_input() {
         // Embedding the real samples as (x, 0) and running the complex
         // kernel multiplies every tap imaginary part by an exact zero;
         // the real kernel just skips those products. Same chains, same
         // order — the halved-FMA kernel must agree bit for bit.
-        let (cfg, coeffs, shape) = setup();
-        let rows = cfg.mu * 8;
-        let len = shape.required_input(rows);
-        let xr = real_signal(len);
-        let xc: Vec<Complex64> = xr.iter().map(|&v| Complex64::new(v, 0.0)).collect();
-        let mut real = vec![Complex64::ZERO; rows * cfg.p];
-        let mut complex = vec![Complex64::ZERO; rows * cfg.p];
-        convolve_real(shape, &coeffs, &xr, &mut real);
-        convolve(shape, &coeffs, &xc, &mut complex);
-        for (i, (a, b)) in real.iter().zip(&complex).enumerate() {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "elem {i}");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "elem {i}");
+        for (cfg, coeffs, shape) in real_kernel_setups() {
+            let rows = cfg.mu * 8;
+            let len = shape.required_input(rows);
+            let xr = real_signal(len);
+            let xc: Vec<Complex64> = xr.iter().map(|&v| Complex64::new(v, 0.0)).collect();
+            let mut real = vec![Complex64::ZERO; rows * cfg.p];
+            let mut complex = vec![Complex64::ZERO; rows * cfg.p];
+            convolve_real(shape, &coeffs, &xr, &mut real);
+            convolve(shape, &coeffs, &xc, &mut complex);
+            for (i, (a, b)) in real.iter().zip(&complex).enumerate() {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "P={} elem {i}", cfg.p);
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "P={} elem {i}", cfg.p);
+            }
         }
     }
 
     #[test]
     fn real_dispatched_kernel_matches_real_portable_reference() {
-        let (cfg, coeffs, shape) = setup();
-        let rows = cfg.mu * 6;
-        let xext = real_signal(shape.required_input(rows));
-        let mut fast = vec![Complex64::ZERO; rows * cfg.p];
-        let mut reference = vec![Complex64::ZERO; rows * cfg.p];
-        convolve_real(shape, &coeffs, &xext, &mut fast);
-        convolve_real_portable(shape, &coeffs, &xext, &mut reference);
-        let worst = max_abs_diff(&fast, &reference);
-        assert!(worst < 1e-13, "real kernels diverged by {worst:e}");
-        if kernel_name() == "portable" {
-            assert_eq!(worst, 0.0, "portable dispatch must be exact");
+        for (cfg, coeffs, shape) in real_kernel_setups() {
+            let rows = cfg.mu * 6;
+            let xext = real_signal(shape.required_input(rows));
+            let mut fast = vec![Complex64::ZERO; rows * cfg.p];
+            let mut reference = vec![Complex64::ZERO; rows * cfg.p];
+            convolve_real(shape, &coeffs, &xext, &mut fast);
+            convolve_real_portable(shape, &coeffs, &xext, &mut reference);
+            let worst = max_abs_diff(&fast, &reference);
+            assert!(worst < 1e-13, "P={}: real kernels diverged by {worst:e}", cfg.p);
+            if kernel_name() == "portable" {
+                assert_eq!(worst, 0.0, "P={}: portable dispatch must be exact", cfg.p);
+            }
         }
     }
 

@@ -251,3 +251,41 @@ fn stats_snapshot_accounts_batches_engines_and_plan_cache() {
     client.shutdown().unwrap();
     server.join();
 }
+
+#[test]
+fn wrapping_sample_length_gets_a_reject_and_the_connection_survives() {
+    use soi_serve::proto::{TAG_BYE, TAG_REJECT, TAG_REQUEST, TAG_RESPONSE};
+    use soi_wire::frame::{read_frame, write_frame};
+    let mut server = start(ServeConfig::default());
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    // A request without samples ends in its sample blob's u64 length
+    // prefix; near u64::MAX, offset + length wraps.
+    let mut bad = request(3, 0, 4, RequestKind::Full, 0).encode();
+    let at = bad.len() - 8;
+    bad[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+    write_frame(&mut stream, TAG_REQUEST, &bad, None, TIMEOUT).unwrap();
+    let (tag, payload) = read_frame(&mut stream, None, TIMEOUT).unwrap();
+    assert_eq!(tag, TAG_REJECT, "a wrapping length must be rejected");
+    let rej = soi_serve::Reject::decode(&payload).unwrap();
+    assert_eq!((rej.id, rej.code), (0, soi_serve::RejectCode::BadRequest), "{}", rej.message);
+    // The same connection still answers a valid request.
+    let good = request(4, 1024, 4, RequestKind::Full, 0);
+    write_frame(&mut stream, TAG_REQUEST, &good.encode(), None, TIMEOUT).unwrap();
+    let (tag, payload) = read_frame(&mut stream, None, TIMEOUT).unwrap();
+    assert_eq!(tag, TAG_RESPONSE);
+    let resp = soi_serve::Response::decode(&payload).unwrap();
+    assert_eq!(resp.id, 4);
+    assert_bits_eq(&resp.bins, &reference(1024, 4, RequestKind::Full, 0));
+    write_frame(&mut stream, TAG_BYE, &[], None, TIMEOUT).unwrap();
+    // The reader thread releases the connection after the BYE.
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while server.stats().active_connections != 0 {
+        assert!(std::time::Instant::now() < deadline, "connection never released");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = server.stats();
+    assert_eq!(stats.peer_lost, 0);
+    assert_eq!(stats.tenants[0].ok, 1);
+    server.shutdown();
+    server.join();
+}

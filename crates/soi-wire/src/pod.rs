@@ -185,7 +185,9 @@ impl<'a> PayloadReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.b.len() {
+        // `pos ≤ len` always holds, so this cannot wrap, while `pos + n`
+        // can for a length prefix read off the wire.
+        if n > self.b.len() - self.pos {
             return Err(WireError::Protocol(format!(
                 "payload truncated: wanted {n} bytes at offset {}, have {}",
                 self.pos,
@@ -258,6 +260,18 @@ mod tests {
     fn ragged_payload_is_a_protocol_error() {
         let e = decode_slice::<u64>(&[1, 2, 3]).unwrap_err();
         assert!(matches!(e, WireError::Protocol(_)));
+    }
+
+    #[test]
+    fn length_prefix_near_u64_max_is_a_protocol_error() {
+        for len in [u64::MAX, u64::MAX - 10] {
+            let payload = PayloadWriter::new().u32(7).u64(len).u64(1).finish();
+            let mut r = PayloadReader::new(&payload);
+            assert_eq!(r.u32().unwrap(), 7);
+            let e = r.bytes().unwrap_err();
+            assert!(matches!(e, WireError::Protocol(_)), "len {len:#x}: {e:?}");
+            assert_eq!(r.remaining(), 8, "the failed take leaves the cursor where it was");
+        }
     }
 
     #[test]
