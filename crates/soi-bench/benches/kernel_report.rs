@@ -3,7 +3,9 @@
 //!
 //! One row per butterfly engine the planner can dispatch to (Stockham,
 //! mixed-radix, four-step, Bluestein) plus the SOI convolution kernel on
-//! complex and on real input, and the segment/band (zoom) row kernel.
+//! complex and on real input, the segment/band (zoom) row kernel, and
+//! `erfc`, the special function under the window design and the
+//! demodulation table (ns per call in `ns_per_point`, no flop count).
 //! GFLOPS use the paper's §7.1 nominal conventions from
 //! [`soi_fft::flops`] (`5N·log₂N` per FFT, `8B` real ops per convolution
 //! output point); the peak reference is either `SOI_PEAK_GFLOPS` (set it
@@ -25,6 +27,7 @@ use soi_core::conv::{
 use soi_core::{SoiFft, SoiParams};
 use soi_fft::flops::{conv_flops, fft_flops};
 use soi_fft::Plan;
+use soi_num::special::erfc;
 use soi_num::{AlignedBuf, Complex64};
 use soi_testkit::{black_box, BenchStats, Bencher};
 use soi_window::AccuracyPreset;
@@ -359,6 +362,37 @@ fn bench_zoom_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
     }
 }
 
+/// `erfc` on the arguments `Ĥ(u)` gives it over κ's 2049-point passband
+/// grid for the Digits10 window — the argument mix of the design search
+/// and of the demodulation table. `ns_per_point` is ns per call; the row
+/// counts no flops.
+fn bench_erfc(g: &mut Bencher, rows: &mut Vec<Row>) {
+    let w = AccuracyPreset::Digits10.design(0.25).expect("design").window;
+    let rs = w.sigma.sqrt();
+    let args: Vec<f64> = (0..=2048)
+        .flat_map(|i| {
+            let u = -0.5 + i as f64 / 2048.0;
+            [rs * (u - w.tau / 2.0), rs * (u + w.tau / 2.0)]
+        })
+        .collect();
+    g.throughput_elements(args.len() as u64);
+    let stats = g.bench(&format!("erfc/{}", args.len()), || {
+        let mut sum = 0.0;
+        for &x in &args {
+            sum += erfc(black_box(x));
+        }
+        black_box(sum)
+    });
+    rows.push(Row {
+        kernel: "erfc".to_string(),
+        n: args.len(),
+        stats,
+        flops: 0.0,
+        transforms: 1.0,
+        dispatch: "portable".to_string(),
+    });
+}
+
 fn main() {
     let (peak, peak_source) = peak_gflops();
     let mut g = Bencher::new("kernel_report").samples(10);
@@ -368,6 +402,7 @@ fn main() {
     bench_chirp(&mut g, &mut rows);
     bench_conv_kernel(&mut g, &mut rows);
     bench_zoom_kernel(&mut g, &mut rows);
+    bench_erfc(&mut g, &mut rows);
 
     let json_rows: Vec<String> = rows
         .iter()

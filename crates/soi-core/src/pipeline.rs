@@ -989,21 +989,26 @@ mod tests {
     fn real_transform_is_bitwise_the_complex_transform_below_nyquist() {
         // Segments 0..P/2 of the r2c path run the byte-for-byte same
         // arithmetic as the complex path on the embedded input; demand
-        // bitwise identity for every bin below Nyquist.
-        let params = SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap();
-        let soi = SoiFft::new(&params).unwrap();
-        let x = real_signal(1 << 12);
-        let xc: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
-        let yc = soi.transform(&xc).unwrap();
-        let yr = soi.transform_real(&x).unwrap();
-        for k in 0..1 << 11 {
-            assert_eq!(yr[k].re.to_bits(), yc[k].re.to_bits(), "bin {k}");
-            assert_eq!(yr[k].im.to_bits(), yc[k].im.to_bits(), "bin {k}");
+        // bitwise identity for every bin below Nyquist. On the AVX2 path
+        // P = 4 runs the real kernel's lane quad, P = 8 its octet, and
+        // P = 6 a quad plus the `P mod 4` scalar tail, at an N that is
+        // not a power of two.
+        for (n, p) in [(1 << 12, 4), (1 << 14, 8), (9216, 6)] {
+            let params = SoiParams::with_preset(n, p, AccuracyPreset::Digits10).unwrap();
+            let soi = SoiFft::new(&params).unwrap();
+            let x = real_signal(n);
+            let xc: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
+            let yc = soi.transform(&xc).unwrap();
+            let yr = soi.transform_real(&x).unwrap();
+            let bits = |v: Complex64| (v.re.to_bits(), v.im.to_bits());
+            for k in 0..n / 2 {
+                assert_eq!(bits(yr[k]), bits(yc[k]), "(N, P) = ({n}, {p}), bin {k}");
+            }
+            // At Nyquist the r2c path is exact while the complex path is
+            // the SOI approximation; they agree to the design bound.
+            let bound = soi.config().predicted_error() * n as f64;
+            assert!((yr[n / 2] - yc[n / 2]).abs() < bound, "(N, P) = ({n}, {p})");
         }
-        // At Nyquist the r2c path is exact while the complex path is the
-        // SOI approximation; they agree to the design bound.
-        let bound = soi.config().predicted_error() * (1 << 12) as f64;
-        assert!((yr[1 << 11] - yc[1 << 11]).abs() < bound);
     }
 
     #[test]

@@ -75,29 +75,33 @@ impl std::fmt::Display for DesignError {
 
 impl std::error::Error for DesignError {}
 
-/// Largest `x ∈ [lo, hi]` with `f(x) ≤ eps`, assuming `f` is increasing.
-/// Returns `lo` if even `f(lo) > eps` (caller checks feasibility after).
-/// Three significant digits of `x` are plenty for window parameters.
-fn largest_feasible(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64, eps: f64) -> f64 {
-    if f(hi) <= eps {
-        return hi;
+/// Largest `x ∈ [lo, hi]` with `f(x) ≤ eps`, assuming `f` is increasing,
+/// and `f(x)` there. Returns `lo` if even `f(lo) > eps` (caller checks
+/// feasibility after). Three significant digits of `x` are plenty for
+/// window parameters.
+fn largest_feasible(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64, eps: f64) -> (f64, f64) {
+    let f_hi = f(hi);
+    if f_hi <= eps {
+        return (hi, f_hi);
     }
-    if f(lo) > eps {
-        return lo;
+    let f_lo = f(lo);
+    if f_lo > eps {
+        return (lo, f_lo);
     }
-    let (mut lo, mut hi) = (lo, hi);
+    let (mut lo, mut hi, mut f_lo) = (lo, hi, f_lo);
     for _ in 0..40 {
         if hi - lo <= 1e-3 * hi.abs() {
             break;
         }
         let mid = 0.5 * (lo + hi);
-        if f(mid) <= eps {
-            lo = mid;
+        let f_mid = f(mid);
+        if f_mid <= eps {
+            (lo, f_lo) = (mid, f_mid);
         } else {
             hi = mid;
         }
     }
-    lo
+    (lo, f_lo)
 }
 
 /// Search the two-parameter family for the cheapest design meeting
@@ -160,7 +164,7 @@ fn design_two_param_uncached(
         // for a typical plateau width (the sinc factor from τ speeds H's
         // decay, so candidates near/above this anchor can still pass the
         // per-candidate truncation check below).
-        let sigma_base = largest_feasible(
+        let (sigma_base, _) = largest_feasible(
             |s| trunc_error(&TwoParamWindow::new(0.7, s), b),
             1.0,
             1e6,
@@ -177,14 +181,13 @@ fn design_two_param_uncached(
             // allows, so candidates above σ_base are worth probing; the
             // per-candidate truncation check below rejects overshoots.
             let sigma = sigma_base * 1.6 * (0.22f64).powf(i as f64 / 11.0);
-            let tau = largest_feasible(
+            let (tau, al) = largest_feasible(
                 |t| alias_error(&TwoParamWindow::new(t, sigma), beta),
                 0.02,
                 1.0 + beta,
                 target,
             );
             let w = TwoParamWindow::new(tau, sigma);
-            let al = alias_error(&w, beta);
             let tr = trunc_error(&w, b);
             if al > target || tr > target {
                 continue;

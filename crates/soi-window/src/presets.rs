@@ -102,6 +102,33 @@ mod tests {
         assert!(bs[0] > bs[4], "full B {} should exceed 10-digit B {}", bs[0], bs[4]);
     }
 
+    /// Every preset's window at β = 1/4, bit for bit. A change to the
+    /// kernels under the search (`erfc`, the quadratures) or to the search
+    /// itself that moves a window fails here; a change that means to move
+    /// the windows updates this table and says so.
+    #[test]
+    fn preset_designs_are_pinned_bitwise() {
+        use AccuracyPreset::*;
+        let pins = [
+            (Full, 56, 0x3fea9fae147ae148, 0x406eb085f43dc5f2),
+            (Digits13, 48, 0x3feb1aae147ae148, 0x406af3439f9dcf6c),
+            (Digits12, 40, 0x3fe90c3d70a3d70a, 0x4064648a98636791),
+            (Digits11, 36, 0x3fe8f88f5c28f5c2, 0x40623172a2d821d9),
+            (Digits10, 28, 0x3fe5b9147ae147ae, 0x4059208f6e68f6d0),
+        ];
+        for (p, b, tau, sigma) in pins {
+            let d = p.design(0.25).unwrap();
+            assert_eq!(
+                (d.b, d.window.tau.to_bits(), d.window.sigma.to_bits()),
+                (b, tau, sigma),
+                "{p:?}: B = {}, tau = {}, sigma = {}",
+                d.b,
+                d.window.tau,
+                d.window.sigma
+            );
+        }
+    }
+
     #[test]
     fn digit_and_db_labels_consistent() {
         assert_eq!(AccuracyPreset::Digits10.digits(), 10.0);
