@@ -160,58 +160,6 @@ fn bench_fft_engines(g: &mut Bencher, rows: &mut Vec<Row>) {
     }
 }
 
-/// Real-input FFT rows at the Stockham complex row's length, so the r2c
-/// lever has a tracked baseline. The flop count is the work the packed
-/// half-spectrum transform actually executes — one half-length complex
-/// FFT plus the ~8-op/point Hermitian split epilogue — not the
-/// `5·N·log₂N / 2` complex-budget proxy, which credited the row with
-/// flops it never issues and understated the fraction of peak.
-fn realfft_flops(n: usize) -> f64 {
-    fft_flops(n / 2) + 8.0 * n as f64
-}
-
-fn bench_realfft(g: &mut Bencher, rows: &mut Vec<Row>) {
-    use soi_fft::realfft::{RealFft, RealIfft};
-    let n = 16384usize;
-    let plan = RealFft::<f64>::new(n);
-    let x: Vec<f64> = tone_mix(n).iter().map(|c| c.re).collect();
-    let mut out = AlignedBuf::<Complex64>::zeroed(plan.output_len());
-    let mut scratch = AlignedBuf::<Complex64>::zeroed(plan.scratch_len());
-    g.throughput_elements(n as u64);
-    let stats = g.bench(&format!("realfft/{n}"), || {
-        plan.forward_into(&x, &mut out, &mut scratch);
-        black_box(out[0])
-    });
-    rows.push(Row {
-        kernel: "realfft".to_string(),
-        n,
-        stats,
-        flops: realfft_flops(n),
-        transforms: 1.0,
-        dispatch: soi_fft::simd::kernel_name().to_string(),
-    });
-
-    // The inverse through the allocation-free `inverse_into` seam: same
-    // half-length trick in reverse (Hermitian merge, then a half-length
-    // inverse FFT).
-    let iplan = RealIfft::<f64>::new(n);
-    let spec = out.to_vec();
-    let mut xr = vec![0.0f64; n];
-    let mut iscratch = AlignedBuf::<Complex64>::zeroed(iplan.scratch_len());
-    let stats = g.bench(&format!("realfft-inverse/{n}"), || {
-        iplan.inverse_into(&spec, &mut xr, &mut iscratch);
-        black_box(xr[0])
-    });
-    rows.push(Row {
-        kernel: "realfft-inverse".to_string(),
-        n,
-        stats,
-        flops: realfft_flops(n),
-        transforms: 1.0,
-        dispatch: soi_fft::simd::kernel_name().to_string(),
-    });
-}
-
 /// The chirp multiply Bluestein leans on — the in-place weighted complex
 /// product through the `soi_fft::simd` seam (6 real ops per point). Its
 /// own row keeps the pre/post sweeps visible instead of smeared into the
@@ -398,7 +346,6 @@ fn main() {
     let mut g = Bencher::new("kernel_report").samples(10);
     let mut rows: Vec<Row> = Vec::new();
     bench_fft_engines(&mut g, &mut rows);
-    bench_realfft(&mut g, &mut rows);
     bench_chirp(&mut g, &mut rows);
     bench_conv_kernel(&mut g, &mut rows);
     bench_zoom_kernel(&mut g, &mut rows);

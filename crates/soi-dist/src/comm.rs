@@ -3,8 +3,11 @@
 //! Every distributed algorithm in this crate ([`crate::soi::DistSoiFft`],
 //! [`crate::baseline::BaselineFft`], the distributed transpose) is
 //! written against [`Communicator`] — the
-//! abstract surface of a blocking-MPI-style rank endpoint. Two
-//! implementations exist:
+//! abstract surface of a blocking-MPI-style rank endpoint. The surface is
+//! exactly the exchanges those algorithms run: `sendrecv` (the halo),
+//! `all_to_all`/`all_to_all_seg` (the global exchange, whole or segment by
+//! segment), `barrier` and `allreduce_{sum,max}`, plus `fail_now` for
+//! fault injection. Two implementations exist:
 //!
 //! * [`soi_simnet::RankComm`] — ranks as threads, channels as links, a
 //!   virtual clock charging the paper's fabric model. Operations fail
@@ -141,11 +144,6 @@ pub trait Communicator {
         on_seg: &mut dyn FnMut(usize, &mut [T], Option<f64>),
     ) -> Result<(), CommError>;
 
-    /// Variable-count all-to-all; returns received blocks concatenated
-    /// in rank order.
-    fn all_to_allv<T: Pod>(&mut self, send: &[T], counts: &[usize])
-        -> Result<Vec<T>, CommError>;
-
     /// Synchronize all ranks.
     fn barrier(&mut self) -> Result<(), CommError>;
 
@@ -215,10 +213,6 @@ impl Communicator for RankComm {
         Ok(RankComm::try_all_to_all_seg(self, send, recv, nseg, on_seg)?)
     }
 
-    fn all_to_allv<T: Pod>(&mut self, send: &[T], counts: &[usize]) -> Result<Vec<T>, CommError> {
-        Ok(RankComm::try_all_to_allv(self, send, counts)?)
-    }
-
     fn barrier(&mut self) -> Result<(), CommError> {
         Ok(RankComm::try_barrier(self)?)
     }
@@ -280,10 +274,6 @@ impl Communicator for WireComm {
         on_seg: &mut dyn FnMut(usize, &mut [T], Option<f64>),
     ) -> Result<(), CommError> {
         Ok(WireComm::all_to_all_seg(self, send, recv, nseg, on_seg)?)
-    }
-
-    fn all_to_allv<T: Pod>(&mut self, send: &[T], counts: &[usize]) -> Result<Vec<T>, CommError> {
-        Ok(WireComm::all_to_allv(self, send, counts)?)
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {

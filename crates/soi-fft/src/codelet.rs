@@ -26,9 +26,6 @@ pub enum Codelet {
     Radix8,
     /// The generic `O(r²)` dense butterfly for the contained radix.
     Generic(usize),
-    /// The Hermitian split/merge epilogue of the real-input (r2c/c2r)
-    /// transforms: a length-`h+1` conjugate-even unpack/repack sweep.
-    Split,
 }
 
 impl Codelet {
@@ -42,7 +39,6 @@ impl Codelet {
             Codelet::Radix7 => 7,
             Codelet::Radix8 => 8,
             Codelet::Generic(r) => r,
-            Codelet::Split => 2,
         }
     }
 
@@ -70,7 +66,6 @@ impl fmt::Display for Codelet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Codelet::Generic(r) => write!(f, "generic({r})"),
-            Codelet::Split => f.write_str("split"),
             other => write!(f, "r{}", other.radix()),
         }
     }

@@ -23,7 +23,6 @@
 //! * [`mixed`] — recursive mixed-radix decimation-in-time with codelets for
 //!   radices 2–5 and a generic prime fallback.
 //! * [`bluestein`] — arbitrary-length transforms via chirp-z convolution.
-//! * [`realfft`] — real-input FFT using the half-length complex trick.
 //! * [`batch`] — batched transforms (the `I ⊗ F` Kronecker pattern of §6a),
 //!   on the calling thread or row-parallel on a caller's worker pool.
 //! * [`permute`] — stride permutations `P_perm^{ℓ,n}` (Definition in §5)
@@ -47,12 +46,11 @@ pub mod fourstep;
 pub mod mixed;
 pub mod permute;
 pub mod plan;
-pub mod realfft;
 pub mod simd;
 pub mod stockham;
 pub mod twiddle;
 
-pub use plan::{CacheStats, Direction, Plan, Planner};
+pub use plan::{CacheStats, Direction, Lru, Plan, Planner};
 
 use soi_num::{Complex, Real};
 

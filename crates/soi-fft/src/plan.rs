@@ -399,17 +399,21 @@ pub struct CacheStats {
 /// A small LRU map: entries carry a monotonically increasing touch
 /// stamp, and inserting past capacity discards the stalest entry. The
 /// O(capacity) eviction scan is fine at the cap sizes used here (tens of
-/// entries, each worth megabytes of twiddle tables).
+/// entries, each worth megabytes of twiddle tables or arenas). Lookups
+/// lend the value out, so it need not be `Clone`: the [`Planner`] clones
+/// its `Arc`s out, and the serve daemon's engine cache borrows its
+/// engines mutably.
 #[derive(Debug)]
-struct Lru<K, V> {
+pub struct Lru<K, V> {
     cap: usize,
     tick: u64,
     map: HashMap<K, (u64, V)>,
     stats: CacheStats,
 }
 
-impl<K: std::hash::Hash + Eq + Clone, V: Clone> Lru<K, V> {
-    fn new(cap: usize) -> Self {
+impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
+    /// An empty map holding at most `cap` entries (at least one).
+    pub fn new(cap: usize) -> Self {
         Self {
             cap: cap.max(1),
             tick: 0,
@@ -419,13 +423,13 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> Lru<K, V> {
     }
 
     /// Look up and touch; counts a hit or a miss.
-    fn get(&mut self, k: &K) -> Option<V> {
+    pub fn get(&mut self, k: &K) -> Option<&mut V> {
         self.tick += 1;
         match self.map.get_mut(k) {
             Some((stamp, v)) => {
                 *stamp = self.tick;
                 self.stats.hits += 1;
-                Some(v.clone())
+                Some(v)
             }
             None => {
                 self.stats.misses += 1;
@@ -436,26 +440,48 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
     /// Insert-or-touch: a concurrent builder may have won the race, in
     /// which case the existing entry is kept (so repeat callers keep
-    /// sharing one `Arc`). Evicts stalest entries past capacity.
-    fn insert(&mut self, k: K, v: V) -> V {
+    /// sharing one `Arc`) and `v` is dropped. Evicts stalest entries past
+    /// capacity; the entry returned is the newest, so never the victim.
+    pub fn insert(&mut self, k: K, v: V) -> &mut V {
         self.tick += 1;
-        if let Some((stamp, existing)) = self.map.get_mut(&k) {
-            *stamp = self.tick;
-            return existing.clone();
-        }
-        self.map.insert(k, (self.tick, v.clone()));
-        while self.map.len() > self.cap {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                self.stats.evictions += 1;
+        if !self.map.contains_key(&k) {
+            self.map.insert(k.clone(), (self.tick, v));
+            while self.map.len() > self.cap {
+                if let Some(victim) = self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, (stamp, _))| *stamp)
+                    .map(|(k, _)| k.clone())
+                {
+                    self.map.remove(&victim);
+                    self.stats.evictions += 1;
+                }
             }
         }
+        let (stamp, v) = self.map.get_mut(&k).expect("entry resident after insert");
+        *stamp = self.tick;
         v
+    }
+
+    /// [`Self::get`], building and inserting the value on a miss. A
+    /// failed build inserts nothing and returns its error.
+    pub fn get_or_try_insert_with<E>(
+        &mut self,
+        k: K,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<&mut V, E> {
+        if self.get(&k).is_none() {
+            let v = build()?;
+            return Ok(self.insert(k, v));
+        }
+        // Returning the borrow `get` made is rejected by the current
+        // borrow checker, so look the hit up again, uncounted.
+        Ok(&mut self.map.get_mut(&k).expect("hit above").1)
+    }
+
+    /// Cumulative hit/miss/eviction counters.
+    pub fn stats(&self) -> CacheStats {
+        self.stats
     }
 
     fn len(&self) -> usize {
@@ -528,17 +554,19 @@ impl<T: Real> Planner<T> {
             .expect("planner cache poisoned")
             .get(&(n, direction))
         {
-            return p;
+            return Arc::clone(p);
         }
         // Build OUTSIDE the lock: composite engines recurse into
         // `self.raw` during construction, and holding the plan lock
         // across that would serialize all planning on one twiddle build
         // (and deadlock if construction ever needs another plan).
         let built = Arc::new(Plan::new_in(n, direction, self));
-        self.cache
-            .lock()
-            .expect("planner cache poisoned")
-            .insert((n, direction), built)
+        Arc::clone(
+            self.cache
+                .lock()
+                .expect("planner cache poisoned")
+                .insert((n, direction), built),
+        )
     }
 
     /// Get (or build and cache) a raw unnormalized inner engine.
@@ -549,13 +577,15 @@ impl<T: Real> Planner<T> {
             .expect("planner raw cache poisoned")
             .get(&(n, sign))
         {
-            return e;
+            return Arc::clone(e);
         }
         let built = Arc::new(RawFft::new(n, sign));
-        self.raw
-            .lock()
-            .expect("planner raw cache poisoned")
-            .insert((n, sign), built)
+        Arc::clone(
+            self.raw
+                .lock()
+                .expect("planner raw cache poisoned")
+                .insert((n, sign), built),
+        )
     }
 
     /// Number of distinct plans currently cached.

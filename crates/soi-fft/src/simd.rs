@@ -156,82 +156,6 @@ pub fn weighted_product_in<T: Real>(data: &mut [Complex<T>], w: &[Complex<T>]) {
     }
 }
 
-/// Hermitian split epilogue of the real-input FFT: unpack the
-/// half-length complex spectrum `z` (length `h`) into the `h+1`
-/// non-redundant bins of the length-`2h` real transform,
-/// `out[k] = (z_k + conj(z_{h−k}))/2 − (i/2)·w^k·(z_k − conj(z_{h−k}))`
-/// with `z_h ≡ z_0` and the unpack twiddles `w^k = exp(−2πi k/2h)` in
-/// `tw[0..=h]`. The AVX2 body uses the exact (non-FMA) complex product
-/// and pure sign-flip rotations, so it is **bitwise identical** to the
-/// scalar loop — the property the r2c SIMD-vs-portable pins rely on.
-pub fn hermitian_split<T: Real>(z: &[Complex<T>], tw: &[Complex<T>], out: &mut [Complex<T>]) {
-    let h = z.len();
-    assert_eq!(out.len(), h + 1, "hermitian_split output must be h+1 bins");
-    assert!(tw.len() >= h + 1, "hermitian_split twiddles too short");
-    #[cfg(target_arch = "x86_64")]
-    if is_c64::<T>() && enabled() {
-        unsafe {
-            avx2::hermitian_split(c64s(z), c64s(tw), c64s_mut(out));
-        }
-        return;
-    }
-    hermitian_split_scalar(z, tw, out);
-}
-
-/// Portable body of [`hermitian_split`]; also the explicit reference
-/// path for plans built with SIMD disabled.
-pub fn hermitian_split_scalar<T: Real>(
-    z: &[Complex<T>],
-    tw: &[Complex<T>],
-    out: &mut [Complex<T>],
-) {
-    let h = z.len();
-    let half = T::HALF;
-    for (k, slot) in out.iter_mut().enumerate() {
-        let zk = if k == h { z[0] } else { z[k] };
-        let zc = z[(h - k) % h].conj();
-        let even = (zk + zc).scale(half);
-        let odd = (zk - zc).scale(half);
-        *slot = even + (odd * tw[k]).mul_neg_i();
-    }
-}
-
-/// Hermitian merge prologue of the inverse real FFT: repack the `h+1`
-/// spectrum bins into the half-length complex input
-/// `z[k] = (x_k + conj(x_{h−k}))/2 + i·w̄^k·(x_k − conj(x_{h−k}))/2`
-/// (`tw` holds the conjugated twiddles `w̄^k`). Bitwise identical to the
-/// scalar loop on every path, mirroring [`hermitian_split`].
-pub fn hermitian_merge<T: Real>(spec: &[Complex<T>], tw: &[Complex<T>], z: &mut [Complex<T>]) {
-    let h = z.len();
-    assert_eq!(spec.len(), h + 1, "hermitian_merge expects h+1 spectrum bins");
-    assert!(tw.len() >= h, "hermitian_merge twiddles too short");
-    #[cfg(target_arch = "x86_64")]
-    if is_c64::<T>() && enabled() {
-        unsafe {
-            avx2::hermitian_merge(c64s(spec), c64s(tw), c64s_mut(z));
-        }
-        return;
-    }
-    hermitian_merge_scalar(spec, tw, z);
-}
-
-/// Portable body of [`hermitian_merge`].
-pub fn hermitian_merge_scalar<T: Real>(
-    spec: &[Complex<T>],
-    tw: &[Complex<T>],
-    z: &mut [Complex<T>],
-) {
-    let h = z.len();
-    let half = T::HALF;
-    for (k, slot) in z.iter_mut().enumerate() {
-        let xk = spec[k];
-        let xc = spec[h - k].conj();
-        let even = (xk + xc).scale(half);
-        let odd = (xk - xc).scale(half).mul_i() * tw[k];
-        *slot = even + odd;
-    }
-}
-
 /// The AVX2+FMA kernel bodies. Everything here is `unsafe fn` gated on
 /// `#[target_feature(enable = "avx2", enable = "fma")]`; callers must
 /// have checked [`cpu_supported`]. Helper intrinsic wrappers are
@@ -370,84 +294,6 @@ pub mod avx2 {
         }
         if k < len {
             data[k] = data[k] * w[k];
-        }
-    }
-
-    /// Hermitian split epilogue (see [`super::hermitian_split`]). The
-    /// vector loop walks `k` ascending in pairs while a reversed load +
-    /// 128-bit lane swap supplies the conjugate partner `z_{h−k}`; bins
-    /// 0 and `h` (which wrap to `z_0`) plus the parity leftover run the
-    /// scalar formulas. Exact complex products and sign-flip rotations
-    /// throughout — bitwise identical to the scalar loop.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn hermitian_split(z: &[Complex64], tw: &[Complex64], out: &mut [Complex64]) {
-        let h = z.len();
-        debug_assert_eq!(out.len(), h + 1);
-        debug_assert!(tw.len() >= h + 1);
-        let half = _mm256_set1_pd(0.5);
-        let conj_mask = mask_neg_im();
-        let zp = z.as_ptr();
-        let wp = tw.as_ptr();
-        let op = out.as_mut_ptr();
-        let edge = |k: usize, zk: Complex64, zc: Complex64| -> Complex64 {
-            let even = (zk + zc).scale(0.5);
-            let odd = (zk - zc).scale(0.5);
-            even + (odd * *wp.add(k)).mul_neg_i()
-        };
-        *op = edge(0, *zp, (*zp).conj());
-        let mut k = 1;
-        while k + 1 < h {
-            let zk = ld(zp.add(k));
-            // [z_{h−k−1}, z_{h−k}] → lane swap → [z_{h−k}, z_{h−k−1}].
-            let zr = ld(zp.add(h - k - 1));
-            let zc = _mm256_xor_pd(_mm256_permute2f128_pd(zr, zr, 0x01), conj_mask);
-            let even = _mm256_mul_pd(_mm256_add_pd(zk, zc), half);
-            let odd = _mm256_mul_pd(_mm256_sub_pd(zk, zc), half);
-            let wv = ld(wp.add(k));
-            let c = cmul_exact(odd, dup_re(wv), dup_im(wv));
-            st(op.add(k), _mm256_add_pd(even, jrot(c, conj_mask)));
-            k += 2;
-        }
-        while k < h {
-            *op.add(k) = edge(k, *zp.add(k), (*zp.add(h - k)).conj());
-            k += 1;
-        }
-        *op.add(h) = edge(h, *zp, (*zp).conj());
-    }
-
-    /// Hermitian merge prologue (see [`super::hermitian_merge`]); the
-    /// inverse of [`hermitian_split`], same reversed-load pairing and
-    /// the same bitwise-identical-to-scalar contract.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn hermitian_merge(spec: &[Complex64], tw: &[Complex64], z: &mut [Complex64]) {
-        let h = z.len();
-        debug_assert_eq!(spec.len(), h + 1);
-        debug_assert!(tw.len() >= h);
-        let half = _mm256_set1_pd(0.5);
-        let conj_mask = mask_neg_im();
-        let imask = mask_neg_re(); // mul_i
-        let sp = spec.as_ptr();
-        let wp = tw.as_ptr();
-        let zp = z.as_mut_ptr();
-        let mut k = 0;
-        while k + 1 < h {
-            let xk = ld(sp.add(k));
-            let xr = ld(sp.add(h - k - 1));
-            let xc = _mm256_xor_pd(_mm256_permute2f128_pd(xr, xr, 0x01), conj_mask);
-            let even = _mm256_mul_pd(_mm256_add_pd(xk, xc), half);
-            let odd = _mm256_mul_pd(_mm256_sub_pd(xk, xc), half);
-            let oi = jrot(odd, imask);
-            let wv = ld(wp.add(k));
-            st(zp.add(k), _mm256_add_pd(even, cmul_exact(oi, dup_re(wv), dup_im(wv))));
-            k += 2;
-        }
-        while k < h {
-            let xk = *sp.add(k);
-            let xc = (*sp.add(h - k)).conj();
-            let even = (xk + xc).scale(0.5);
-            let odd = (xk - xc).scale(0.5).mul_i() * *wp.add(k);
-            *zp.add(k) = even + odd;
-            k += 1;
         }
     }
 
@@ -1354,40 +1200,6 @@ mod tests {
                 let want = src[k] * w[k];
                 assert_eq!(got[k].re.to_bits(), want.re.to_bits(), "n={n} k={k}");
                 assert_eq!(got[k].im.to_bits(), want.im.to_bits(), "n={n} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn hermitian_split_and_merge_match_scalar_bitwise() {
-        // The dispatched wrappers (AVX2 on capable hosts) must agree with
-        // the scalar formulas to the bit: the kernels use the
-        // exact-rounding complex product and pure sign-flip rotations.
-        for h in [1usize, 2, 3, 8, 33, 500] {
-            let n = 2 * h;
-            let z: Vec<Complex64> = (0..h)
-                .map(|i| c64((i as f64 * 0.61).sin() - 0.3, (i as f64 * 0.83).cos()))
-                .collect();
-            let tw: Vec<Complex64> = (0..=h)
-                .map(|k| Complex64::root_of_unity(k, n))
-                .collect();
-            let mut fast = vec![Complex64::ZERO; h + 1];
-            let mut slow = vec![Complex64::ZERO; h + 1];
-            hermitian_split(&z, &tw, &mut fast);
-            hermitian_split_scalar(&z, &tw, &mut slow);
-            for k in 0..=h {
-                assert_eq!(fast[k].re.to_bits(), slow[k].re.to_bits(), "h={h} k={k}");
-                assert_eq!(fast[k].im.to_bits(), slow[k].im.to_bits(), "h={h} k={k}");
-            }
-            // Merge: feed the split output back through both dispatches.
-            let twc: Vec<Complex64> = tw.iter().map(|w| w.conj()).collect();
-            let mut mf = vec![Complex64::ZERO; h];
-            let mut ms = vec![Complex64::ZERO; h];
-            hermitian_merge(&fast, &twc, &mut mf);
-            hermitian_merge_scalar(&slow, &twc, &mut ms);
-            for k in 0..h {
-                assert_eq!(mf[k].re.to_bits(), ms[k].re.to_bits(), "h={h} k={k}");
-                assert_eq!(mf[k].im.to_bits(), ms[k].im.to_bits(), "h={h} k={k}");
             }
         }
     }

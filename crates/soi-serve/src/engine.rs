@@ -6,15 +6,16 @@
 //! (window coefficients, FFT plans via the process-global `Planner`),
 //! lazily built complex- and real-input `SoiWorkspace` arenas, and a reused
 //! output buffer — so in steady state a request allocates nothing on the
-//! compute side. [`EngineCache`] is a small LRU keyed by geometry; its
-//! capacity bounds resident arena memory, not correctness (an evicted
-//! geometry is simply rebuilt on next use).
+//! compute side. [`EngineCache`] keeps them in the planner's
+//! [`soi_fft::Lru`], keyed by geometry; its capacity bounds resident
+//! arena memory, not correctness (an evicted geometry is simply rebuilt
+//! on next use).
 
 use crate::proto::{Request, RequestKind, Samples};
 use soi_core::{SoiError, SoiFft, SoiParams, SoiRealWorkspace, SoiWorkspace, ThreadPool};
+use soi_fft::Lru;
 use soi_num::Complex64;
 use soi_window::AccuracyPreset;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The digits → window-preset mapping shared by the CLI and the service
@@ -109,24 +110,18 @@ impl Engine {
 /// Capacity comes from `SOI_SERVE_ENGINES` (default 8).
 #[derive(Debug)]
 pub struct EngineCache {
-    cap: usize,
-    tick: u64,
-    map: HashMap<(usize, usize, u32), (u64, Engine)>,
+    engines: Lru<(usize, usize, u32), Engine>,
     pool: Arc<ThreadPool>,
     builds: u64,
-    evictions: u64,
 }
 
 impl EngineCache {
     /// Cache holding at most `cap` engines, building on `pool`.
     pub fn new(cap: usize, pool: Arc<ThreadPool>) -> Self {
         Self {
-            cap: cap.max(1),
-            tick: 0,
-            map: HashMap::new(),
+            engines: Lru::new(cap),
             pool,
             builds: 0,
-            evictions: 0,
         }
     }
 
@@ -138,36 +133,22 @@ impl EngineCache {
         p: usize,
         digits: u32,
     ) -> Result<&mut Engine, SoiError> {
-        self.tick += 1;
-        let key = (n, p, digits);
-        if !self.map.contains_key(&key) {
-            let engine = Engine::build(n, p, digits, Arc::clone(&self.pool))?;
-            self.builds += 1;
-            while self.map.len() >= self.cap {
-                let oldest = self
-                    .map
-                    .iter()
-                    .min_by_key(|(_, (stamp, _))| *stamp)
-                    .map(|(k, _)| *k)
-                    .expect("non-empty map has a minimum");
-                self.map.remove(&oldest);
-                self.evictions += 1;
-            }
-            self.map.insert(key, (self.tick, engine));
-        }
-        let slot = self.map.get_mut(&key).expect("just inserted");
-        slot.0 = self.tick;
-        Ok(&mut slot.1)
+        let (pool, builds) = (&self.pool, &mut self.builds);
+        self.engines.get_or_try_insert_with((n, p, digits), || {
+            let engine = Engine::build(n, p, digits, Arc::clone(pool))?;
+            *builds += 1;
+            Ok(engine)
+        })
     }
 
-    /// Engines built since construction.
+    /// Engines built since construction (failed builds not counted).
     pub fn builds(&self) -> u64 {
         self.builds
     }
 
     /// Engines evicted since construction.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.engines.stats().evictions
     }
 }
 

@@ -32,7 +32,6 @@ use crate::proto::{
 };
 use crate::stats::Registry;
 use soi_core::ThreadPool;
-use soi_trace::Trace;
 use soi_wire::{ServiceConn, ServiceListener, ServiceWriter, ShutdownToken, WireError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -338,7 +337,6 @@ const MAX_DRAIN: usize = 32;
 fn executor_loop(shared: Arc<Shared>) {
     let pool = Arc::new(ThreadPool::new(shared.cfg.threads));
     let mut engines = EngineCache::new(shared.cfg.engine_cap, pool);
-    let trace = Trace::disabled();
     let mut batch: Vec<Job> = Vec::new();
     let mut payload: Vec<u8> = Vec::new();
     loop {
@@ -355,14 +353,10 @@ fn executor_loop(shared: Arc<Shared>) {
             let take = MAX_DRAIN.min(q.len());
             batch.extend(q.drain(..take));
         }
-        let size = batch.len() as u64;
-        shared.stats.record_batch(size);
-        trace.span_begin("serve_batch", None);
-        trace.counter("serve.batch_size", size as f64);
+        shared.stats.record_batch(batch.len() as u64);
         for job in &batch {
             answer(job, &mut engines, &shared, &mut payload);
         }
-        trace.span_end("serve_batch", None);
         batch.clear();
     }
 }
@@ -392,35 +386,32 @@ fn answer(
         );
         return;
     }
-    // Build (or fetch) the engine first and mirror the cache counters
-    // into the registry *before* any reply leaves, so a client that sees
-    // its response and immediately snapshots stats observes consistent
-    // accounting.
+    // One cache lookup builds (or fetches) the engine and computes; the
+    // cache counters are mirrored into the registry *before* any reply
+    // leaves, so a client that sees its response and immediately
+    // snapshots stats observes consistent accounting.
     let (b0, e0) = (engines.builds(), engines.evictions());
-    if let Err(e) = engines.get(job.req.n, job.req.p, job.req.digits) {
-        shared.stats.record_bad(&job.req.tenant);
-        reject(&job.writer, job.req.id, RejectCode::BadRequest, e.to_string());
-        return;
-    }
+    let result = engines
+        .get(job.req.n, job.req.p, job.req.digits)
+        .and_then(|engine| {
+            let t0 = Instant::now();
+            let bins = engine.execute(&job.req)?;
+            let compute_ns = t0.elapsed().as_nanos() as u64;
+            crate::proto::encode_response_into(job.req.id, compute_ns, bins, payload);
+            Ok(compute_ns)
+        });
     for _ in b0..engines.builds() {
         shared.stats.record_engine_build();
     }
     for _ in e0..engines.evictions() {
         shared.stats.record_engine_eviction();
     }
-    let engine = engines
-        .get(job.req.n, job.req.p, job.req.digits)
-        .expect("engine resident after build");
-    let t0 = Instant::now();
-    match engine.execute(&job.req) {
-        Ok(bins) => {
-            let compute_ns = t0.elapsed().as_nanos() as u64;
-            crate::proto::encode_response_into(job.req.id, compute_ns, bins, payload);
-            let bytes_out = payload.len() as u64;
+    match result {
+        Ok(compute_ns) => {
             // Account before sending (same consistency argument); a send
             // failure means the client vanished mid-reply, which the
             // reader thread records as a lost peer.
-            shared.stats.record_ok(&job.req.tenant, bytes_out, compute_ns);
+            shared.stats.record_ok(&job.req.tenant, payload.len() as u64, compute_ns);
             let _ = job.writer.send(TAG_RESPONSE, payload);
         }
         Err(e) => {

@@ -215,21 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn all_to_allv_concatenates_in_rank_order() {
-        let p = 3;
-        let out = Cluster::ideal(p).run_collect(|c| {
-            // Rank r sends r+1 copies of its id to every rank.
-            let counts = vec![c.rank() + 1; p];
-            let send = vec![c.rank() as u8; (c.rank() + 1) * p];
-            c.all_to_allv(&send, &counts)
-        });
-        for recv in &out {
-            // From rank 0: one 0; rank 1: two 1s; rank 2: three 2s.
-            assert_eq!(recv.as_slice(), &[0u8, 1, 1, 2, 2, 2]);
-        }
-    }
-
-    #[test]
     fn sendrecv_ring_halo() {
         let p = 4;
         let out = Cluster::ideal(p).run_collect(|c| {
@@ -240,32 +225,6 @@ mod tests {
         });
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got[0], ((rank + 1) % p) as u32);
-        }
-    }
-
-    #[test]
-    fn broadcast_gather_allreduce() {
-        let p = 4;
-        let out = Cluster::ideal(p).run_collect(|c| {
-            let bc = if c.rank() == 2 {
-                c.broadcast(2, vec![7.5f64, -1.0])
-            } else {
-                c.broadcast(2, Vec::new())
-            };
-            let gathered = c.gather(0, &[c.rank() as u32]);
-            let sum = c.allreduce_sum(c.rank() as f64);
-            let max = c.allreduce_max(c.rank() as f64);
-            (bc, gathered, sum, max)
-        });
-        for (rank, (bc, gathered, sum, max)) in out.iter().enumerate() {
-            assert_eq!(bc.as_slice(), &[7.5, -1.0]);
-            assert_eq!(*sum, 6.0);
-            assert_eq!(*max, 3.0);
-            if rank == 0 {
-                assert_eq!(gathered.as_deref(), Some(&[0u32, 1, 2, 3][..]));
-            } else {
-                assert!(gathered.is_none());
-            }
         }
     }
 
@@ -325,43 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn even_all_to_allv_costs_exactly_what_all_to_all_costs() {
-        // Regression for the self-block accounting mismatch: both
-        // collectives must charge identical virtual time for identical
-        // (even) payloads.
-        let p = 4;
-        let block = 1usize << 16;
-        let cluster = Cluster::new(p, Fabric::ethernet_10g());
-        let fixed: Vec<RankReport> = cluster
-            .run(|c| {
-                let send = vec![0u8; p * block];
-                let mut recv = vec![0u8; p * block];
-                c.all_to_all(&send, &mut recv);
-            })
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        let varied: Vec<RankReport> = cluster
-            .run(|c| {
-                let send = vec![0u8; p * block];
-                let counts = vec![block; p];
-                let _ = c.all_to_allv(&send, &counts);
-            })
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        for (a, b) in fixed.iter().zip(&varied) {
-            assert!(
-                (a.comm_time - b.comm_time).abs() < 1e-12,
-                "rank {}: all_to_all {} vs all_to_allv {}",
-                a.rank,
-                a.comm_time,
-                b.comm_time
-            );
-        }
-    }
-
-    #[test]
     fn traced_run_validates_and_reflects_traffic() {
         let p = 3;
         let (results, set) = Cluster::new(p, Fabric::ethernet_10g()).run_traced(|c| {
@@ -407,16 +329,6 @@ mod tests {
             // Only the off-rank block counts as sent: 4 × 8 bytes.
             assert_eq!(r.stats.bytes_sent, 32);
         }
-    }
-
-    #[test]
-    fn compute_timed_charges_wall_time() {
-        let out = Cluster::ideal(1).run(|c| {
-            c.compute_timed(|| {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            });
-        });
-        assert!(out[0].1.compute_time >= 0.009);
     }
 
     #[test]

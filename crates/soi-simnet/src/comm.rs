@@ -88,6 +88,10 @@ impl DeathBarrier {
     }
 
     /// Block until all `size` ranks arrive, or until the barrier fails.
+    /// A round that completed is `Ok` even if a rank fails before this
+    /// waiter wakes: that rank passed the barrier, and failing here would
+    /// strand peers that already moved on (they would wait out
+    /// [`RECV_DEADLINE`] for a message this rank never sends).
     pub(crate) fn wait(&self) -> Result<(), ()> {
         let mut st = self.state.lock().expect("barrier poisoned");
         if st.failed {
@@ -104,10 +108,10 @@ impl DeathBarrier {
         while st.generation == gen && !st.failed {
             st = self.cvar.wait(st).expect("barrier poisoned");
         }
-        if st.failed {
-            Err(())
-        } else {
+        if st.generation != gen {
             Ok(())
+        } else {
+            Err(())
         }
     }
 
@@ -155,7 +159,7 @@ pub struct CommStats {
     pub p2p_messages: u64,
     /// Number of all-to-all collectives participated in.
     pub all_to_alls: u64,
-    /// Number of other collectives (broadcast/gather/reduce/barrier).
+    /// Number of other collectives (barriers and allreduces).
     pub other_collectives: u64,
 }
 
@@ -234,16 +238,6 @@ impl RankComm {
         self.clock.charge_compute(dt);
     }
 
-    /// Run `f`, measure its wall time, charge it as compute, return its
-    /// value. (On an unloaded machine wall ≈ CPU time; harnesses that need
-    /// calibrated charging use [`RankComm::charge_compute`] directly.)
-    pub fn compute_timed<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        self.clock.charge_compute(t0.elapsed().as_secs_f64());
-        r
-    }
-
     /// Declare this rank dead: mark the flag every survivor polls and
     /// break the cluster barrier. Simulates a killed process — after
     /// this, every operation on every rank of this cluster fails, and
@@ -252,11 +246,6 @@ impl RankComm {
     pub fn fail_now(&mut self) {
         self.shared.dead[self.rank].store(true, Ordering::SeqCst);
         self.shared.barrier.fail();
-    }
-
-    /// Whether `rank` has declared itself dead.
-    pub fn is_dead(&self, rank: usize) -> bool {
-        self.shared.dead[rank].load(Ordering::SeqCst)
     }
 
     /// Push one message toward `dst`, failing fast on a dead peer.
@@ -430,56 +419,14 @@ impl RankComm {
     /// Fallible all-to-all with equal blocks: block `d` of `send` goes to
     /// rank `d`; `recv` block `s` arrives from rank `s`. This is the
     /// single global exchange of the SOI factorization (`P_perm^{P,N'}`
-    /// in Eq. 6) and the three exchanges of the baseline.
+    /// in Eq. 6) and the three exchanges of the baseline — one segment
+    /// of [`RankComm::try_all_to_all_seg`], as on the wire.
     pub fn try_all_to_all<T: Send + Clone + 'static>(
         &mut self,
         send: &[T],
         recv: &mut [T],
     ) -> Result<(), SimCommError> {
-        let p = self.size();
-        assert_eq!(send.len(), recv.len(), "all_to_all buffers must match");
-        assert!(
-            send.len() % p == 0,
-            "all_to_all length {} not divisible by {p} ranks",
-            send.len()
-        );
-        let block = send.len() / p;
-        for dst in 0..p {
-            if dst == self.rank {
-                continue;
-            }
-            let chunk = send[dst * block..(dst + 1) * block].to_vec();
-            let chunk_bytes = (chunk.len() * std::mem::size_of::<T>()) as u64;
-            self.stats.bytes_sent += chunk_bytes;
-            self.trace.send(dst, chunk_bytes, Some(self.clock.now()));
-            self.try_send_msg(dst, Box::new(chunk))?;
-        }
-        recv[self.rank * block..(self.rank + 1) * block]
-            .clone_from_slice(&send[self.rank * block..(self.rank + 1) * block]);
-        for src in 0..p {
-            if src == self.rank {
-                continue;
-            }
-            let msg = self.try_recv_msg(src, "all_to_all")?;
-            let data = *msg
-                .downcast::<Vec<T>>()
-                .expect("type mismatch in all_to_all");
-            assert_eq!(data.len(), block, "ragged all_to_all block from {src}");
-            let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-            self.stats.bytes_received += bytes;
-            self.trace.recv(src, bytes, Some(self.clock.now()));
-            recv[src * block..(src + 1) * block].clone_from_slice(&data);
-        }
-        // Fabric-charged traffic excludes each rank's self-block (a local
-        // memcpy never touches the wire) — the same convention
-        // `all_to_allv` uses, so even payloads price identically on both.
-        let total_bytes = ((send.len() - block) * std::mem::size_of::<T>()) as u64 * p as u64;
-        let cost = self.shared.fabric.all_to_all_time(p, total_bytes);
-        self.try_sync_clocks(cost)?;
-        self.stats.all_to_alls += 1;
-        self.trace
-            .collective(CollectiveOp::AllToAll, total_bytes, Some(self.clock.now()));
-        Ok(())
+        self.try_all_to_all_seg(send, recv, 1, &mut |_, _, _| {})
     }
 
     /// All-to-all with equal blocks.
@@ -499,9 +446,9 @@ impl RankComm {
     /// block on simnet), so "overlap" here is purely the delivery
     /// order — what matters is that both transports fire the callbacks
     /// on identical data in identical order, keeping the overlapped
-    /// schedule bitwise reproducible across fabrics. Time is charged
-    /// exactly like [`RankComm::try_all_to_all`]: one all-to-all of the
-    /// aggregate non-self payload at the closing clock sync.
+    /// schedule bitwise reproducible across fabrics. Time is charged as
+    /// one all-to-all of the aggregate non-self payload at the closing
+    /// clock sync, whatever `nseg` is.
     pub fn try_all_to_all_seg<T: Send + Clone + 'static>(
         &mut self,
         send: &[T],
@@ -545,8 +492,8 @@ impl RankComm {
                 .clone_from_slice(&send[(self.rank * nseg + si) * rows..][..rows]);
             on_seg(si, &mut recv[si * p * rows..][..p * rows], Some(self.clock.now()));
         }
-        // Fabric-charged traffic excludes each rank's self-block — the
-        // identical convention (and total) as the unsegmented collective.
+        // Fabric-charged traffic excludes each rank's self-block (a local
+        // copy never touches the wire); the total does not depend on nseg.
         let total_bytes = (p - 1) as u64 * nseg as u64 * sub_bytes * p as u64;
         let cost = self.shared.fabric.all_to_all_time(p, total_bytes);
         self.try_sync_clocks(cost)?;
@@ -556,164 +503,9 @@ impl RankComm {
         Ok(())
     }
 
-    /// Fallible variable-count all-to-all: `send` is partitioned by
-    /// `send_counts` (one entry per destination); returns the
-    /// concatenation of the blocks received from ranks `0..p` in order.
-    /// A zero count is legal and still records a zero-byte send/recv
-    /// event pair (the wire transport ships the matching zero-length
-    /// frame — the schedules must stay in lock-step).
-    pub fn try_all_to_allv<T: Send + Clone + 'static>(
-        &mut self,
-        send: &[T],
-        send_counts: &[usize],
-    ) -> Result<Vec<T>, SimCommError> {
-        let p = self.size();
-        assert_eq!(send_counts.len(), p, "need one send count per rank");
-        assert_eq!(
-            send_counts.iter().sum::<usize>(),
-            send.len(),
-            "send counts must cover the buffer"
-        );
-        let mut offset = 0;
-        let mut self_block: Vec<T> = Vec::new();
-        for (dst, &cnt) in send_counts.iter().enumerate() {
-            let chunk = &send[offset..offset + cnt];
-            offset += cnt;
-            if dst == self.rank {
-                self_block = chunk.to_vec();
-            } else {
-                let bytes = (cnt * std::mem::size_of::<T>()) as u64;
-                self.stats.bytes_sent += bytes;
-                self.trace.send(dst, bytes, Some(self.clock.now()));
-                self.try_send_msg(dst, Box::new(chunk.to_vec()))?;
-            }
-        }
-        let mut out = Vec::new();
-        let mut total_recv_bytes = 0u64;
-        for src in 0..p {
-            if src == self.rank {
-                out.extend_from_slice(&self_block);
-                continue;
-            }
-            let msg = self.try_recv_msg(src, "all_to_allv")?;
-            let data = *msg
-                .downcast::<Vec<T>>()
-                .expect("type mismatch in all_to_allv");
-            let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-            total_recv_bytes += bytes;
-            self.stats.bytes_received += bytes;
-            self.trace.recv(src, bytes, Some(self.clock.now()));
-            out.extend_from_slice(&data);
-        }
-        // Cost model: approximate the exchange as an even all-to-all of
-        // the aggregate payload, estimated from this rank's received bytes
-        // (exact per-link modeling is unnecessary at the granularity of
-        // the paper's model, and the SOI/baseline payloads are balanced).
-        let charged = total_recv_bytes * p as u64;
-        let cost = self.shared.fabric.all_to_all_time(p, charged);
-        self.try_sync_clocks(cost)?;
-        self.stats.all_to_alls += 1;
-        self.trace
-            .collective(CollectiveOp::AllToAllV, charged, Some(self.clock.now()));
-        Ok(out)
-    }
-
-    /// Variable-count all-to-all.
-    pub fn all_to_allv<T: Send + Clone + 'static>(
-        &mut self,
-        send: &[T],
-        send_counts: &[usize],
-    ) -> Vec<T> {
-        self.try_all_to_allv(send, send_counts).expect("peer rank hung up")
-    }
-
-    /// Fallible broadcast of `data` from `root` to every rank.
-    pub fn try_broadcast<T: Send + Clone + 'static>(
-        &mut self,
-        root: usize,
-        data: Vec<T>,
-    ) -> Result<Vec<T>, SimCommError> {
-        let p = self.size();
-        let out = if self.rank == root {
-            let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-            for dst in 0..p {
-                if dst != root {
-                    self.stats.bytes_sent += bytes;
-                    self.trace.send(dst, bytes, Some(self.clock.now()));
-                    self.try_send_msg(dst, Box::new(data.clone()))?;
-                }
-            }
-            data
-        } else {
-            let msg = self.try_recv_msg(root, "broadcast")?;
-            let out = *msg.downcast::<Vec<T>>().expect("type mismatch in broadcast");
-            let bytes = (out.len() * std::mem::size_of::<T>()) as u64;
-            self.stats.bytes_received += bytes;
-            self.trace.recv(root, bytes, Some(self.clock.now()));
-            out
-        };
-        let bytes = (out.len() * std::mem::size_of::<T>()) as u64;
-        let cost =
-            self.shared.fabric.point_to_point_time(bytes) * (p as f64).log2().ceil().max(1.0);
-        self.try_sync_clocks(cost)?;
-        self.stats.other_collectives += 1;
-        self.trace
-            .collective(CollectiveOp::Broadcast, bytes, Some(self.clock.now()));
-        Ok(out)
-    }
-
-    /// Broadcast `data` from `root` to every rank.
-    pub fn broadcast<T: Send + Clone + 'static>(&mut self, root: usize, data: Vec<T>) -> Vec<T> {
-        self.try_broadcast(root, data).expect("peer rank hung up")
-    }
-
-    /// Fallible gather of every rank's `data` at `root` (concatenated in
-    /// rank order); other ranks get `None`.
-    pub fn try_gather<T: Send + Clone + 'static>(
-        &mut self,
-        root: usize,
-        data: &[T],
-    ) -> Result<Option<Vec<T>>, SimCommError> {
-        let p = self.size();
-        let result = if self.rank == root {
-            let mut out = Vec::new();
-            for src in 0..p {
-                if src == root {
-                    out.extend_from_slice(data);
-                } else {
-                    let msg = self.try_recv_msg(src, "gather")?;
-                    let block = *msg.downcast::<Vec<T>>().expect("type mismatch in gather");
-                    let bytes = (block.len() * std::mem::size_of::<T>()) as u64;
-                    self.stats.bytes_received += bytes;
-                    self.trace.recv(src, bytes, Some(self.clock.now()));
-                    out.extend_from_slice(&block);
-                }
-            }
-            Some(out)
-        } else {
-            let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-            self.stats.bytes_sent += bytes;
-            self.trace.send(root, bytes, Some(self.clock.now()));
-            self.try_send_msg(root, Box::new(data.to_vec()))?;
-            None
-        };
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let cost = self.shared.fabric.point_to_point_time(bytes) * (p as f64).log2().ceil().max(1.0);
-        self.try_sync_clocks(cost)?;
-        self.stats.other_collectives += 1;
-        self.trace
-            .collective(CollectiveOp::Gather, bytes, Some(self.clock.now()));
-        Ok(result)
-    }
-
-    /// Gather every rank's `data` at `root`; other ranks get `None`.
-    pub fn gather<T: Send + Clone + 'static>(&mut self, root: usize, data: &[T]) -> Option<Vec<T>> {
-        self.try_gather(root, data).expect("peer rank hung up")
-    }
-
     /// Fallible all-gather: every rank receives the rank-ordered
-    /// concatenation.
-    pub fn try_all_gather<T: Send + Clone + 'static>(
+    /// concatenation. The allreduces fold it.
+    fn try_all_gather<T: Send + Clone + 'static>(
         &mut self,
         data: &[T],
     ) -> Result<Vec<T>, SimCommError> {
@@ -750,11 +542,6 @@ impl RankComm {
         Ok(out)
     }
 
-    /// All-gather: every rank receives the rank-ordered concatenation.
-    pub fn all_gather<T: Send + Clone + 'static>(&mut self, data: &[T]) -> Vec<T> {
-        self.try_all_gather(data).expect("peer rank hung up")
-    }
-
     /// Fallible sum-allreduce of one f64.
     pub fn try_allreduce_sum(&mut self, v: f64) -> Result<f64, SimCommError> {
         Ok(self.try_all_gather(&[v])?.iter().sum())
@@ -789,4 +576,28 @@ mod tests {
     // RankComm cannot exist without a Cluster; its behaviour (including
     // fault injection via `fail_now`) is tested in `cluster.rs` where
     // ranks actually run.
+    use super::DeathBarrier;
+    use std::sync::Arc;
+
+    #[test]
+    fn completed_round_survives_a_failure_before_the_waiter_wakes() {
+        let b = Arc::new(DeathBarrier::new(2));
+        let waiter = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || b.wait())
+        };
+        while b.state.lock().unwrap().count == 0 {
+            std::thread::yield_now();
+        }
+        // The last arrival and a death, both before the waiter can take
+        // the lock back: the round it waited for still completed.
+        let mut st = b.state.lock().unwrap();
+        st.count = 0;
+        st.generation += 1;
+        st.failed = true;
+        b.cvar.notify_all();
+        drop(st);
+        assert_eq!(waiter.join().unwrap(), Ok(()));
+        assert_eq!(b.wait(), Err(()), "later rounds fail");
+    }
 }

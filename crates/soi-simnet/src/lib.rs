@@ -17,9 +17,10 @@
 //!
 //! * [`cluster`] — spawn `P` ranks, run a closure per rank, gather results
 //!   and per-rank reports.
-//! * [`comm`] — the per-rank communicator: point-to-point, halo exchange,
-//!   all-to-all(v), broadcast, gather, allreduce, barrier; byte/message
-//!   accounting per operation class.
+//! * [`comm`] — the per-rank communicator: the halo exchange, the
+//!   all-to-all (whole or segment by segment), barrier and allreduce, plus
+//!   the buffered point-to-point send/recv they are built from; byte and
+//!   message accounting per operation class.
 //! * [`netmodel`] — fabric performance models: two-level fat tree
 //!   (Endeavor), k-ary 3-D torus with concentration 16 (Gordon), 10 GbE,
 //!   and an ideal zero-time fabric for pure correctness runs.

@@ -35,31 +35,47 @@ fn all_to_all_is_a_global_permutation() {
 }
 
 #[test]
-fn all_to_allv_conserves_elements() {
+fn all_to_all_seg_delivers_segment_major_in_ascending_callbacks() {
     check(
-        "all_to_allv_conserves_elements",
+        "all_to_all_seg_delivers_segment_major_in_ascending_callbacks",
         PropConfig::cases(12),
         |rng| {
-            // Ragged counts derived from the seed; total payload conserved.
-            let p = rng.usize_in(2..5);
-            let seed = rng.next_u64();
+            // Each element encodes (source, destination, segment, row), so
+            // every landed sub-block is checkable where it lands.
+            let p = rng.usize_in(2..6);
+            let nseg = rng.usize_in(1..6);
+            let rows = rng.usize_in(1..5);
+            let code = |src: usize, dst: usize, s: usize, j: usize| {
+                ((src * 16 + dst) * 16 + s) as u64 * 16 + j as u64
+            };
             let outputs = Cluster::ideal(p).run_collect(move |comm| {
-                let counts: Vec<usize> = (0..p)
-                    .map(|d| ((seed as usize).wrapping_add(comm.rank() * 7 + d * 3)) % 4)
+                let me = comm.rank();
+                let send: Vec<u64> = (0..p * nseg * rows)
+                    .map(|i| code(me, i / (nseg * rows), (i / rows) % nseg, i % rows))
                     .collect();
-                let total: usize = counts.iter().sum();
-                let send: Vec<u32> = (0..total).map(|i| (comm.rank() * 1000 + i) as u32).collect();
-                comm.all_to_allv(&send, &counts)
-            });
-            let received: usize = outputs.iter().map(Vec::len).sum();
-            let sent: usize = (0..p)
-                .map(|r| {
-                    (0..p)
-                        .map(|d| ((seed as usize).wrapping_add(r * 7 + d * 3)) % 4)
-                        .sum::<usize>()
+                let mut recv = vec![0u64; p * nseg * rows];
+                let mut fired = Vec::new();
+                comm.try_all_to_all_seg(&send, &mut recv, nseg, &mut |si, seg, _| {
+                    // Segment `si` is complete when its callback fires.
+                    for (k, &v) in seg.iter().enumerate() {
+                        assert_eq!(v, code(k / rows, me, si, k % rows), "p={p} seg {si}");
+                    }
+                    fired.push(si);
                 })
-                .sum();
-            assert_eq!(received, sent, "p={p}");
+                .unwrap();
+                (recv, fired)
+            });
+            for (me, (recv, fired)) in outputs.iter().enumerate() {
+                assert_eq!(*fired, (0..nseg).collect::<Vec<_>>(), "p={p} rank {me}");
+                for (i, &v) in recv.iter().enumerate() {
+                    let (s, src, j) = (i / (p * rows), (i / rows) % p, i % rows);
+                    assert_eq!(
+                        v,
+                        code(src, me, s, j),
+                        "p={p} nseg={nseg} rank {me} slot {i}"
+                    );
+                }
+            }
         },
     );
 }

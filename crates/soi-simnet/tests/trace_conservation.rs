@@ -7,15 +7,14 @@ use soi_simnet::{Cluster, Fabric};
 use soi_testkit::{check, PropConfig};
 
 /// One step of the random schedule; all ranks execute the same sequence
-/// (blocking-MPI contract) with seed-derived payload sizes and roots.
+/// (blocking-MPI contract) with seed-derived payload sizes.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Barrier,
-    Broadcast { root: usize, len: usize },
-    Gather { root: usize, len: usize },
     AllToAll { block: usize },
-    AllToAllV { base: usize },
-    AllGather { len: usize },
+    AllToAllSeg { rows: usize, nseg: usize },
+    AllReduceSum,
+    AllReduceMax,
     RingHalo { len: usize },
 }
 
@@ -28,25 +27,17 @@ fn random_collective_sequences_conserve_bytes_and_validate() {
             let p = rng.usize_in(2..9);
             let steps = rng.usize_in(3..9);
             let ops: Vec<Op> = (0..steps)
-                .map(|_| match rng.usize_in(0..7) {
+                .map(|_| match rng.usize_in(0..6) {
                     0 => Op::Barrier,
-                    1 => Op::Broadcast {
-                        root: rng.usize_in(0..p),
-                        len: rng.usize_in(1..64),
-                    },
-                    2 => Op::Gather {
-                        root: rng.usize_in(0..p),
-                        len: rng.usize_in(1..64),
-                    },
-                    3 => Op::AllToAll {
+                    1 => Op::AllToAll {
                         block: rng.usize_in(1..16),
                     },
-                    4 => Op::AllToAllV {
-                        base: rng.usize_in(0..8),
+                    2 => Op::AllToAllSeg {
+                        rows: rng.usize_in(1..8),
+                        nseg: rng.usize_in(1..6),
                     },
-                    5 => Op::AllGather {
-                        len: rng.usize_in(1..32),
-                    },
+                    3 => Op::AllReduceSum,
+                    4 => Op::AllReduceMax,
                     _ => Op::RingHalo {
                         len: rng.usize_in(1..32),
                     },
@@ -58,36 +49,28 @@ fn random_collective_sequences_conserve_bytes_and_validate() {
                 for op in ops_ref {
                     match *op {
                         Op::Barrier => c.barrier(),
-                        Op::Broadcast { root, len } => {
-                            let data = if c.rank() == root {
-                                vec![root as u64; len]
-                            } else {
-                                Vec::new()
-                            };
-                            let got = c.broadcast(root, data);
-                            assert_eq!(got, vec![root as u64; len]);
-                        }
-                        Op::Gather { root, len } => {
-                            let mine = vec![c.rank() as u32; len];
-                            let got = c.gather(root, &mine);
-                            assert_eq!(got.is_some(), c.rank() == root);
-                        }
                         Op::AllToAll { block } => {
                             let send = vec![c.rank() as u8; p * block];
                             let mut recv = vec![0u8; p * block];
                             c.all_to_all(&send, &mut recv);
                         }
-                        Op::AllToAllV { base } => {
-                            // Ragged: rank r sends base + (r+d) % 3 items to d.
-                            let counts: Vec<usize> =
-                                (0..p).map(|d| base + (c.rank() + d) % 3).collect();
-                            let total: usize = counts.iter().sum();
-                            let send = vec![c.rank() as u16; total];
-                            let _ = c.all_to_allv(&send, &counts);
+                        Op::AllToAllSeg { rows, nseg } => {
+                            let send = vec![c.rank() as u16; p * nseg * rows];
+                            let mut recv = vec![0u16; p * nseg * rows];
+                            let mut fired = Vec::new();
+                            c.try_all_to_all_seg(&send, &mut recv, nseg, &mut |si, seg, _| {
+                                assert_eq!(seg.len(), p * rows);
+                                fired.push(si);
+                            })
+                            .unwrap();
+                            assert_eq!(fired, (0..nseg).collect::<Vec<_>>());
                         }
-                        Op::AllGather { len } => {
-                            let got = c.all_gather(&vec![c.rank() as u32; len]);
-                            assert_eq!(got.len(), p * len);
+                        Op::AllReduceSum => {
+                            let sum = c.allreduce_sum(c.rank() as f64);
+                            assert_eq!(sum, (p * (p - 1) / 2) as f64);
+                        }
+                        Op::AllReduceMax => {
+                            assert_eq!(c.allreduce_max(c.rank() as f64), (p - 1) as f64);
                         }
                         Op::RingHalo { len } => {
                             let left = (c.rank() + p - 1) % p;

@@ -24,16 +24,10 @@ use std::borrow::Cow;
 pub enum CollectiveOp {
     /// Pure synchronization.
     Barrier,
-    /// One-to-all broadcast.
-    Broadcast,
-    /// All-to-root gather.
-    Gather,
     /// All-to-all gather (allreduce is built on this).
     AllGather,
-    /// Equal-block all-to-all.
+    /// Equal-block all-to-all, whole or segment by segment.
     AllToAll,
-    /// Variable-count all-to-all.
-    AllToAllV,
     /// Paired neighbor exchange (synchronizing, like the collectives).
     SendRecv,
 }
@@ -43,11 +37,8 @@ impl CollectiveOp {
     pub fn name(self) -> &'static str {
         match self {
             CollectiveOp::Barrier => "barrier",
-            CollectiveOp::Broadcast => "broadcast",
-            CollectiveOp::Gather => "gather",
             CollectiveOp::AllGather => "all_gather",
             CollectiveOp::AllToAll => "all_to_all",
-            CollectiveOp::AllToAllV => "all_to_allv",
             CollectiveOp::SendRecv => "sendrecv",
         }
     }
@@ -56,11 +47,8 @@ impl CollectiveOp {
     pub fn from_name(s: &str) -> Option<Self> {
         Some(match s {
             "barrier" => CollectiveOp::Barrier,
-            "broadcast" => CollectiveOp::Broadcast,
-            "gather" => CollectiveOp::Gather,
             "all_gather" => CollectiveOp::AllGather,
             "all_to_all" => CollectiveOp::AllToAll,
-            "all_to_allv" => CollectiveOp::AllToAllV,
             "sendrecv" => CollectiveOp::SendRecv,
             _ => return None,
         })
@@ -404,7 +392,7 @@ mod tests {
             t_mono_ns: 46,
             t_virt: Some(1.0 / 3.0),
             kind: EventKind::Collective {
-                op: CollectiveOp::AllToAllV,
+                op: CollectiveOp::AllToAll,
                 bytes: u64::from(u32::MAX),
             },
         });
@@ -441,11 +429,8 @@ mod tests {
     fn collective_names_invert() {
         for op in [
             CollectiveOp::Barrier,
-            CollectiveOp::Broadcast,
-            CollectiveOp::Gather,
             CollectiveOp::AllGather,
             CollectiveOp::AllToAll,
-            CollectiveOp::AllToAllV,
             CollectiveOp::SendRecv,
         ] {
             assert_eq!(CollectiveOp::from_name(op.name()), Some(op));

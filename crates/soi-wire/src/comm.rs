@@ -63,7 +63,7 @@ pub struct WireStats {
     pub p2p_messages: u64,
     /// All-to-all collectives participated in.
     pub all_to_alls: u64,
-    /// Other collectives (barrier/broadcast/gather/reduce).
+    /// Other collectives (barriers and allreduces).
     pub other_collectives: u64,
 }
 
@@ -455,144 +455,11 @@ impl WireComm {
         result
     }
 
-    /// Variable-count all-to-all: `send` partitioned by `send_counts`
-    /// (one entry per destination); returns the received blocks
-    /// concatenated in rank order.
-    pub fn all_to_allv<T: Pod>(
-        &mut self,
-        send: &[T],
-        send_counts: &[usize],
-    ) -> Result<Vec<T>, WireError> {
-        let t0 = Instant::now();
-        let p = self.size;
-        if send_counts.len() != p {
-            return Err(WireError::Protocol(format!(
-                "need one send count per rank: {} counts for {p} ranks",
-                send_counts.len()
-            )));
-        }
-        if send_counts.iter().sum::<usize>() != send.len() {
-            return Err(WireError::Protocol(
-                "send counts must cover the buffer".into(),
-            ));
-        }
-        let mut offsets = Vec::with_capacity(p + 1);
-        offsets.push(0usize);
-        for &c in send_counts {
-            offsets.push(offsets.last().unwrap() + c);
-        }
-        let mut blocks: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        blocks[self.rank] = send[offsets[self.rank]..offsets[self.rank + 1]].to_vec();
-        let mut total_recv_bytes = 0u64;
-        for r in 1..p {
-            let dst = (self.rank + r) % p;
-            let src = (self.rank + p - r) % p;
-            let payload = encode_slice(&send[offsets[dst]..offsets[dst + 1]]);
-            let sent_bytes = payload.len() as u64;
-            self.trace.send(dst, sent_bytes, None);
-            let body = self.exchange_frames(dst, &payload, src)?;
-            let bytes = body.len() as u64;
-            total_recv_bytes += bytes;
-            self.stats.bytes_sent += sent_bytes;
-            self.stats.bytes_received += bytes;
-            self.trace.recv(src, bytes, None);
-            blocks[src] = decode_slice(&body)?;
-        }
-        let out: Vec<T> = blocks.into_iter().flatten().collect();
-        // Same cost-model convention as simnet: charge the aggregate as
-        // an even all-to-all estimated from this rank's received bytes.
-        let charged = total_recv_bytes * p as u64;
-        self.stats.all_to_alls += 1;
-        self.trace.collective(CollectiveOp::AllToAllV, charged, None);
-        self.comm_seconds += t0.elapsed().as_secs_f64();
-        Ok(out)
-    }
-
-    /// Broadcast `data` from `root` to every rank.
-    pub fn broadcast<T: Pod>(&mut self, root: usize, data: Vec<T>) -> Result<Vec<T>, WireError> {
-        let t0 = Instant::now();
-        let out = if self.rank == root {
-            let payload = encode_slice(&data);
-            let bytes = payload.len() as u64;
-            for dst in 0..self.size {
-                if dst == root {
-                    continue;
-                }
-                let mut s = self.stream(dst)?;
-                write_frame(&mut s, TAG_DATA, &payload, Some(dst), self.cfg.op_timeout)?;
-                self.stats.bytes_sent += bytes;
-                self.trace.send(dst, bytes, None);
-            }
-            data
-        } else {
-            let mut s = self.stream(root)?;
-            let (tag, body) = read_frame(&mut s, Some(root), self.cfg.op_timeout)?;
-            if tag != TAG_DATA {
-                return Err(WireError::Protocol(format!(
-                    "expected DATA broadcast from root {root}, got tag {tag:#04x}"
-                )));
-            }
-            let bytes = body.len() as u64;
-            self.stats.bytes_received += bytes;
-            self.trace.recv(root, bytes, None);
-            decode_slice(&body)?
-        };
-        let bytes = (out.len() * T::BYTES) as u64;
-        self.stats.other_collectives += 1;
-        self.trace.collective(CollectiveOp::Broadcast, bytes, None);
-        self.comm_seconds += t0.elapsed().as_secs_f64();
-        Ok(out)
-    }
-
-    /// Gather every rank's `data` at `root` (rank-ordered concatenation);
-    /// other ranks get `None`.
-    pub fn gather<T: Pod>(
-        &mut self,
-        root: usize,
-        data: &[T],
-    ) -> Result<Option<Vec<T>>, WireError> {
-        let t0 = Instant::now();
-        let result = if self.rank == root {
-            let mut out = Vec::new();
-            for src in 0..self.size {
-                if src == root {
-                    out.extend_from_slice(data);
-                    continue;
-                }
-                let mut s = self.stream(src)?;
-                let (tag, body) = read_frame(&mut s, Some(src), self.cfg.op_timeout)?;
-                if tag != TAG_DATA {
-                    return Err(WireError::Protocol(format!(
-                        "expected DATA in gather from {src}, got tag {tag:#04x}"
-                    )));
-                }
-                let bytes = body.len() as u64;
-                self.stats.bytes_received += bytes;
-                self.trace.recv(src, bytes, None);
-                out.extend(decode_slice::<T>(&body)?);
-            }
-            Some(out)
-        } else {
-            let payload = encode_slice(data);
-            let bytes = payload.len() as u64;
-            let mut s = self.stream(root)?;
-            write_frame(&mut s, TAG_DATA, &payload, Some(root), self.cfg.op_timeout)?;
-            self.stats.bytes_sent += bytes;
-            self.trace.send(root, bytes, None);
-            None
-        };
-        let bytes = (data.len() * T::BYTES) as u64;
-        self.stats.other_collectives += 1;
-        self.trace.collective(CollectiveOp::Gather, bytes, None);
-        self.comm_seconds += t0.elapsed().as_secs_f64();
-        Ok(result)
-    }
-
-    /// All-gather: every rank receives the rank-ordered concatenation.
-    /// Runs as P−1 pairwise exchange rounds (same schedule as
-    /// [`WireComm::all_to_all`], each round carrying this rank's whole
-    /// contribution).
-    pub fn all_gather<T: Pod>(&mut self, data: &[T]) -> Result<Vec<T>, WireError> {
+    /// All-gather: every rank receives the rank-ordered concatenation;
+    /// the allreduces fold it. Runs as P−1 pairwise exchange rounds (same
+    /// schedule as [`WireComm::all_to_all`], each round carrying this
+    /// rank's whole contribution).
+    fn all_gather<T: Pod>(&mut self, data: &[T]) -> Result<Vec<T>, WireError> {
         let t0 = Instant::now();
         let p = self.size;
         let payload = encode_slice(data);

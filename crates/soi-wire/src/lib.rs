@@ -17,8 +17,8 @@
 //!   equivalence tests lean on this).
 //! * [`comm::WireComm`] — the communicator: point-to-point send/recv,
 //!   deadlock-free paired exchange (writer thread vs. finite TCP
-//!   buffers), pairwise-exchange `all_to_all`/`all_to_allv`, barrier and
-//!   allreduce, all with per-operation deadlines and
+//!   buffers), the pairwise-exchange `all_to_all` (whole or segment by
+//!   segment), barrier and allreduce, all with per-operation deadlines and
 //!   [`WireError::PeerLost`]/[`WireError::Timeout`] instead of hangs. The
 //!   trace conventions match `RankComm`, so `TraceSet::validate`'s
 //!   conservation checks run unchanged on real captured traffic

@@ -13,6 +13,24 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Temp files of the smokes below, and the serve smoke's daemon: one trap
+# removes the files and stops the daemon on every exit, so a step that
+# fails under `set -eu` leaves neither behind.
+tmp="${TMPDIR:-/tmp}"
+trace_file="$tmp/soi-verify-trace.$$.jsonl"
+wire_trace="$tmp/soi-verify-wire.$$.jsonl"
+fault_trace="$tmp/soi-verify-fault.$$.jsonl"
+serve_log="$tmp/soi-verify-serve.$$.log"
+serve_pid=""
+cleanup() {
+    if [ -n "$serve_pid" ]; then
+        kill "$serve_pid" 2>/dev/null || true
+    fi
+    rm -f "$trace_file" "$wire_trace" "$fault_trace" "$serve_log"
+}
+trap cleanup EXIT
+trap 'exit 1' HUP INT TERM
+
 echo "==> guard: [workspace.dependencies] must contain only path dependencies"
 leaks="$(sed -n '/^\[workspace\.dependencies\]/,/^\[/p' Cargo.toml | grep -E '"[0-9]' || true)"
 if [ -n "$leaks" ]; then
@@ -58,15 +76,12 @@ if [ "$a" != "$b" ]; then
 fi
 
 echo "==> traced pipeline smoke: simulate --trace, then the conservation validator"
-trace_file="${TMPDIR:-/tmp}/soi-verify-trace.$$.jsonl"
 cargo run --release --offline -q -p soi-cli --bin soi -- \
     simulate --nodes 2 --points 2048 --fabric ethernet --trace "$trace_file"
 cargo run --release --offline -q -p soi-cli --bin soi -- \
     trace-check --file "$trace_file"
-rm -f "$trace_file"
 
 echo "==> out-of-process smoke: 4-rank soi launch over localhost + trace-check"
-wire_trace="${TMPDIR:-/tmp}/soi-verify-wire.$$.jsonl"
 # Hard timeout: a transport regression must fail loudly, never hang the
 # verification run. (Workers carry their own per-op deadlines too.)
 if command -v timeout >/dev/null 2>&1; then launch_to="timeout 120"; else launch_to=""; fi
@@ -74,10 +89,8 @@ $launch_to cargo run --release --offline -q -p soi-cli --bin soi -- \
     launch --ranks 4 --n 65536 --p 8 --trace "$wire_trace"
 cargo run --release --offline -q -p soi-cli --bin soi -- \
     trace-check --file "$wire_trace"
-rm -f "$wire_trace"
 
 echo "==> fault smoke: kill rank 1 at boundary 3, recover, trace-check the capture"
-fault_trace="${TMPDIR:-/tmp}/soi-verify-fault.$$.jsonl"
 # The worker aborts itself mid-run; the launcher must detect the death,
 # respawn the rank into epoch 1, replay from checkpoints, and still
 # produce a conservation-valid merged trace (with rejoin markers) and a
@@ -86,10 +99,12 @@ SOI_FAULT_PHASE=3 $launch_to cargo run --release --offline -q -p soi-cli --bin s
     launch --ranks 4 --n 65536 --p 8 --trace "$fault_trace"
 cargo run --release --offline -q -p soi-cli --bin soi -- \
     trace-check --file "$fault_trace"
-rm -f "$fault_trace"
 
 echo "==> serve smoke: daemon on an ephemeral port, mixed verified requests, clean shutdown"
-serve_log="${TMPDIR:-/tmp}/soi-verify-serve.$$.log"
+# The background job opens its redirect asynchronously; create the log
+# first so the poll below never reads a missing file (a failing `sed`
+# would end the script under `set -e`).
+: > "$serve_log"
 ./target/release/soi serve --addr 127.0.0.1:0 --threads 2 > "$serve_log" 2>&1 &
 serve_pid=$!
 # The daemon prints `serve    : listening on <addr>` once bound; poll for it.
@@ -109,7 +124,6 @@ done
 if [ -z "$serve_addr" ]; then
     echo "ERROR: soi serve never reported its listen address" >&2
     cat "$serve_log" >&2
-    kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
 # Every kind the protocol carries, each response checked bitwise against a
@@ -127,7 +141,7 @@ $launch_to ./target/release/soi request --addr "$serve_addr" \
 $launch_to ./target/release/soi serve --stats "$serve_addr"
 $launch_to ./target/release/soi request --addr "$serve_addr" --shutdown 1
 wait "$serve_pid"
-rm -f "$serve_log"
+serve_pid=""
 
 echo "==> cargo build --release --offline -p soi-bench --benches"
 cargo build --release --offline -p soi-bench --benches

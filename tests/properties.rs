@@ -129,20 +129,6 @@ fn dd_mul_matches_f64_to_f64_precision() {
     );
 }
 
-#[test]
-fn real_fft_matches_complex_fft() {
-    check("real_fft_matches_complex_fft", PropConfig::cases(16), |rng| {
-        let n = rng.usize_in(2..80) * 2;
-        let x = rng.f64_vec(n, -1.0..1.0);
-        let spec = soi::fft::realfft::RealFft::new(n).forward(&x);
-        let xc: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
-        let full = fft_forward(&xc);
-        for k in 0..=n / 2 {
-            assert!((spec[k] - full[k]).abs() < 1e-9 * n as f64, "n={n} bin {k}");
-        }
-    });
-}
-
 // SOI transforms are heavier; fewer cases.
 
 #[test]
