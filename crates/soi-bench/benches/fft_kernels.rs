@@ -11,17 +11,18 @@
 
 use soi_bench::workload::tone_mix;
 use soi_fft::Plan;
+use soi_num::Complex64;
 use soi_testkit::Bencher;
 
 fn bench_pow2() {
     let mut g = Bencher::new("fft_pow2").samples(20);
     for lg in [10usize, 12, 14, 16] {
         let n = 1usize << lg;
-        let plan = Plan::<f64>::forward(n);
+        let plan = Plan::forward(n);
         let x = tone_mix(n);
         g.throughput_elements(n as u64);
         let mut buf = x.clone();
-        let mut scratch = buf.clone();
+        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
         g.bench(&n.to_string(), || {
             plan.execute_with_scratch(&mut buf, &mut scratch)
         });
@@ -32,7 +33,7 @@ fn bench_engines() {
     let mut g = Bencher::new("fft_engines").samples(20);
     // Same magnitude, three planner paths.
     for n in [4096usize, 3 * 1280, 4093] {
-        let plan = Plan::<f64>::forward(n);
+        let plan = Plan::forward(n);
         let x = tone_mix(n);
         g.throughput_elements(n as u64);
         let mut buf = x.clone();
@@ -47,7 +48,7 @@ fn bench_batch() {
     let mut g = Bencher::new("batch_fp").samples(20);
     for p in [16usize, 32, 64] {
         let rows = 4096;
-        let exec = soi_fft::batch::BatchFft::<f64>::new(p, soi_fft::Direction::Forward);
+        let exec = soi_fft::batch::BatchFft::new(p, soi_fft::Direction::Forward);
         let x = tone_mix(rows * p);
         g.throughput_elements((rows * p) as u64);
         let mut buf = x.clone();

@@ -123,8 +123,8 @@ fn bench_fft_engines(g: &mut Bencher, rows: &mut Vec<Row>) {
         (163840, "four-step"),      // 2^15·5: production M'
         (4093, "bluestein"),        // prime
     ] {
-        let fwd = Plan::<f64>::forward(n);
-        let inv = Plan::<f64>::inverse(n);
+        let fwd = Plan::forward(n);
+        let inv = Plan::inverse(n);
         assert_eq!(fwd.engine_name(), want_engine, "size {n} dispatched away");
         // Aligned data + scratch, matching what the workspace arena hands
         // the engines in production: a plain Vec this size lands 16 bytes

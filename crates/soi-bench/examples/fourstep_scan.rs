@@ -42,8 +42,8 @@ fn scan(n: usize) {
     let iters = (200_000_000 / n).clamp(1, 200);
     for a in divisors {
         let b = n / a;
-        let fa = Arc::new(RawFft::<f64>::new(a, Sign::Forward));
-        let fb = Arc::new(RawFft::<f64>::new(b, Sign::Forward));
+        let fa = Arc::new(RawFft::new(a, Sign::Forward));
+        let fb = Arc::new(RawFft::new(b, Sign::Forward));
         let plan = FourStepFft::with_engines(n, Sign::Forward, fa, fb);
         let mut buf = x.clone();
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
@@ -74,7 +74,7 @@ fn main() {
     // Reference row: the plain Stockham engine at 16384.
     let n = 16384;
     let x = tone_mix(n);
-    let st = RawFft::<f64>::new(n, Sign::Forward);
+    let st = RawFft::new(n, Sign::Forward);
     let mut buf = x.clone();
     let mut scratch = vec![Complex64::ZERO; st.scratch_len()];
     let ns = median_ns(

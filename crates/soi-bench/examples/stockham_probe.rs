@@ -34,8 +34,8 @@ fn main() {
         if roundtrip {
             // Mirror the kernel_report methodology: forward + normalized
             // inverse on the same buffer, ns/pt per transform.
-            let fwd = Plan::<f64>::forward(n);
-            let inv = Plan::<f64>::inverse(n);
+            let fwd = Plan::forward(n);
+            let inv = Plan::inverse(n);
             let mut buf = soi_num::AlignedBuf::from_slice(&x);
             let mut scratch = soi_num::AlignedBuf::<soi_num::Complex64>::zeroed(
                 fwd.scratch_len().max(inv.scratch_len()),
@@ -52,7 +52,7 @@ fn main() {
             println!("{:>10} [{} round-trip] {:>8.3} ns/pt", n, fwd.engine_name(), ns);
             continue;
         }
-        for plan in [Plan::<f64>::forward(n), Plan::<f64>::inverse(n)] {
+        for plan in [Plan::forward(n), Plan::inverse(n)] {
             let mut buf = x.clone();
             let ns = median_ns(|| {
                 let t = Instant::now();

@@ -75,7 +75,7 @@ fn main() {
         reps as f64 * soi_fft::flops::conv_flops(c.n_prime, c.b) / t0.elapsed().as_secs_f64();
 
     // FFT rate at M'.
-    let plan = soi_fft::Plan::<f64>::forward(c.m_prime);
+    let plan = soi_fft::Plan::forward(c.m_prime);
     let mut buf = vec![Complex64::ZERO; c.m_prime];
     buf.copy_from_slice(&xext[..c.m_prime]);
     let reps = 20;

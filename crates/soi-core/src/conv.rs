@@ -874,15 +874,20 @@ pub fn zoom_pooled<T: Sample>(zt: &ZoomTaps, x: &[T], out: &mut [Complex64], poo
     let simd = avx2::available();
     #[cfg(not(target_arch = "x86_64"))]
     let simd = false;
-    zoom_with(zt, x, out, pool, simd)
+    // SAFETY: `simd` is set only when `avx2::available()` held.
+    unsafe { T::zoom(zt, x, out, pool, simd) }
 }
 
 /// [`zoom_pooled`] on one worker with the portable row kernel: the
 /// dispatch-free reference for tests and the kernel-bench ablation.
 pub fn zoom_portable<T: Sample>(zt: &ZoomTaps, x: &[T], out: &mut [Complex64]) {
-    zoom_with(zt, x, out, &ThreadPool::serial(), false)
+    // SAFETY: the portable row kernel needs no CPU feature.
+    unsafe { T::zoom(zt, x, out, &ThreadPool::serial(), false) }
 }
 
+/// The zoom body behind [`zoom_pooled`] and [`zoom_portable`]. They
+/// reach it through `RowDot::zoom`, so it is compiled here, once per
+/// sample type.
 fn zoom_with<T: Sample>(
     zt: &ZoomTaps,
     x: &[T],
@@ -979,9 +984,10 @@ impl Sample for f64 {
 mod row_dot {
     #[cfg(target_arch = "x86_64")]
     use super::avx2;
-    use super::{banked_dot, ConvShape, ZoomTaps};
+    use super::{banked_dot, zoom_with, ConvShape, ZoomTaps};
     use crate::coeff::ConvCoefficients;
     use soi_num::Complex64;
+    use soi_pool::ThreadPool;
 
     pub trait RowDot: Copy + Default + Send + Sync {
         /// The block convolution over this sample type: `out` (whole
@@ -998,6 +1004,21 @@ mod row_dot {
         /// # Safety
         /// With `SIMD` the caller guarantees AVX2+FMA.
         unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64;
+
+        /// The zoom rows of `x` (`zoom_with` over this sample type). A
+        /// method of a concrete impl is compiled here, in soi-core, so
+        /// the zoom kernel exists once per sample type instead of once
+        /// per crate that calls the generic segment and band paths.
+        ///
+        /// # Safety
+        /// With `simd` the caller guarantees AVX2+FMA.
+        unsafe fn zoom(
+            zt: &ZoomTaps,
+            x: &[Self],
+            out: &mut [Complex64],
+            pool: &ThreadPool,
+            simd: bool,
+        );
     }
 
     impl RowDot for Complex64 {
@@ -1008,6 +1029,16 @@ mod row_dot {
             out: &mut [Complex64],
         ) {
             super::convolve(shape, coeffs, xext, out)
+        }
+
+        unsafe fn zoom(
+            zt: &ZoomTaps,
+            x: &[Self],
+            out: &mut [Complex64],
+            pool: &ThreadPool,
+            simd: bool,
+        ) {
+            zoom_with::<Self>(zt, x, out, pool, simd)
         }
 
         #[inline(always)]
@@ -1030,6 +1061,16 @@ mod row_dot {
             out: &mut [Complex64],
         ) {
             super::convolve_real(shape, coeffs, xext, out)
+        }
+
+        unsafe fn zoom(
+            zt: &ZoomTaps,
+            x: &[Self],
+            out: &mut [Complex64],
+            pool: &ThreadPool,
+            simd: bool,
+        ) {
+            zoom_with::<Self>(zt, x, out, pool, simd)
         }
 
         #[inline(always)]

@@ -38,7 +38,7 @@ pub fn w_exact_entry(n: usize, p: usize, j: usize, k: usize) -> Complex64 {
         let b = Complex64::root_of_unity((l * k) % n, n); // e^{−2πi lk/N}
         acc.add(a * b);
     }
-    Complex64::from_c64(acc.value()).scale(1.0 / m as f64)
+    acc.value().scale(1.0 / m as f64)
 }
 
 /// Apply the full §8 exact factorization to `x` (for any `p | n` with
@@ -66,7 +66,7 @@ pub fn exact_factorization_dft(x: &[Complex64], p: usize) -> Vec<Complex64> {
                 acc.add(w_exact_entry(n, p, j, k) * x[k]);
                 k += p;
             }
-            v[j * p + s] = Complex64::from_c64(acc.value());
+            v[j * p + s] = acc.value();
         }
     }
     // I_M ⊗ F_P (plans from the shared process-wide cache).

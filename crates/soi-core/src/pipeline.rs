@@ -37,8 +37,8 @@ use std::sync::Arc;
 pub struct SoiFft {
     cfg: SoiConfig,
     coeffs: ConvCoefficients,
-    batch_p: BatchFft<f64>,
-    plan_m: Arc<Plan<f64>>,
+    batch_p: BatchFft,
+    plan_m: Arc<Plan>,
 }
 
 impl SoiFft {
@@ -71,12 +71,12 @@ impl SoiFft {
     }
 
     /// The prebuilt `F_{M'}` plan (shared with the distributed driver).
-    pub fn plan_m(&self) -> &Plan<f64> {
+    pub fn plan_m(&self) -> &Plan {
         &self.plan_m
     }
 
     /// The prebuilt `I ⊗ F_P` batch executor.
-    pub fn batch_p(&self) -> &BatchFft<f64> {
+    pub fn batch_p(&self) -> &BatchFft {
         &self.batch_p
     }
 

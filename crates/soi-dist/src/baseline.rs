@@ -30,14 +30,13 @@ use soi_fft::plan::{Direction, Plan, Planner};
 use soi_num::Complex64;
 use std::time::Instant;
 
-/// How the global transposes exchange data (Fig 3: "the MPI all-to-all
-/// primitive, or … non-blocking send-receive").
+/// How the global transposes exchange data. The paper's Fig 3 also
+/// names non-blocking send-receive; no figure or benchmark measured that
+/// variant, so only the collective remains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeVariant {
     /// One collective all-to-all per transpose.
     Collective,
-    /// `P−1` paired send/receive rounds per transpose.
-    Pairwise,
 }
 
 /// A prepared baseline transform (shared read-only across ranks).
@@ -46,16 +45,16 @@ pub struct BaselineFft {
     n: usize,
     p: usize,
     m: usize,
-    plan_m: std::sync::Arc<Plan<f64>>,
-    batch_p: BatchFft<f64>,
-    variant: ExchangeVariant,
+    plan_m: std::sync::Arc<Plan>,
+    batch_p: BatchFft,
 }
 
 impl BaselineFft {
     /// Plan for `n` points over `p` ranks (requires `p | n` and `p | n/p`).
     /// Plans come from the process-wide [`Planner::global`] cache, shared
-    /// with the SOI pipeline's own plans.
-    pub fn new(n: usize, p: usize, variant: ExchangeVariant) -> Self {
+    /// with the SOI pipeline's own plans. The variant has one value, so
+    /// it selects nothing.
+    pub fn new(n: usize, p: usize, _variant: ExchangeVariant) -> Self {
         assert!(p >= 1 && n % p == 0, "p must divide n");
         let m = n / p;
         assert!(m % p == 0, "baseline needs P | M for balanced transposes");
@@ -66,7 +65,6 @@ impl BaselineFft {
             m,
             plan_m: planner.plan(m, Direction::Forward),
             batch_p: BatchFft::with_plan(planner.plan(p, Direction::Forward)),
-            variant,
         }
     }
 
@@ -104,7 +102,7 @@ impl BaselineFft {
         let rows_here = a.len() / m;
         let t0 = Instant::now();
         let mut a = a;
-        let mut scratch = vec![Complex64::ZERO; m];
+        let mut scratch = vec![Complex64::ZERO; self.plan_m.scratch_len()];
         for row in a.chunks_exact_mut(m) {
             self.plan_m.execute_with_scratch(row, &mut scratch);
         }
@@ -165,10 +163,7 @@ impl BaselineFft {
     ) -> Result<Vec<Complex64>, CommError> {
         let c0 = comm.comm_seconds();
         let t0 = Instant::now();
-        let (out, pack_bytes) = match self.variant {
-            ExchangeVariant::Collective => distributed_transpose(comm, local, rows, cols)?,
-            ExchangeVariant::Pairwise => distributed_transpose_pairwise(comm, local, rows, cols)?,
-        };
+        let (out, pack_bytes) = distributed_transpose(comm, local, rows, cols)?;
         let exchange = comm.comm_seconds() - c0;
         times.exchange += exchange;
         // Wall time of the whole step minus the exchange approximates the
@@ -179,50 +174,6 @@ impl BaselineFft {
         times.pack += dt;
         Ok(out)
     }
-}
-
-/// Pairwise-exchange version of [`distributed_transpose`]: same local
-/// permutations, but the wire exchange uses `P−1` send/receive rounds.
-pub fn distributed_transpose_pairwise<C: Communicator>(
-    comm: &mut C,
-    local: &[Complex64],
-    rows: usize,
-    cols: usize,
-) -> Result<(Vec<Complex64>, u64), CommError> {
-    let p = comm.size();
-    assert!(rows % p == 0 && cols % p == 0);
-    let rb = rows / p;
-    let cb = cols / p;
-    assert_eq!(local.len(), rb * cols);
-    let rank = comm.rank();
-    // Pack per destination, as in the collective version.
-    let mut blocks: Vec<Vec<Complex64>> = Vec::with_capacity(p);
-    for d in 0..p {
-        let mut blk = vec![Complex64::ZERO; rb * cb];
-        for c in 0..cb {
-            for r in 0..rb {
-                blk[c * rb + r] = local[r * cols + d * cb + c];
-            }
-        }
-        blocks.push(blk);
-    }
-    let mut out = vec![Complex64::ZERO; cb * rows];
-    let place = |src: usize, block: &[Complex64], out: &mut [Complex64]| {
-        for c in 0..cb {
-            for r in 0..rb {
-                out[c * rows + src * rb + r] = block[c * rb + r];
-            }
-        }
-    };
-    place(rank, &blocks[rank], &mut out);
-    for round in 1..p {
-        let dst = (rank + round) % p;
-        let src = (rank + p - round) % p;
-        let got = comm.sendrecv(dst, &blocks[dst], src)?;
-        place(src, &got, &mut out);
-    }
-    let pack_bytes = 2 * (local.len() * std::mem::size_of::<Complex64>()) as u64;
-    Ok((out, pack_bytes))
 }
 
 #[cfg(test)]
@@ -256,14 +207,6 @@ mod tests {
             let err = rel_l2_error(&y, &exact);
             assert!(err < 1e-10, "n={n} p={p}: {err:e}");
         }
-    }
-
-    #[test]
-    fn pairwise_variant_matches_collective() {
-        let n = 1 << 10;
-        let a = run_baseline(n, 4, ExchangeVariant::Collective);
-        let b = run_baseline(n, 4, ExchangeVariant::Pairwise);
-        assert!(rel_l2_error(&a, &b) < 1e-14);
     }
 
     #[test]

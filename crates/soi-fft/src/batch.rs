@@ -16,15 +16,15 @@
 
 use crate::plan::{Direction, Plan};
 use crate::simd;
-use soi_num::{AlignedBuf, Complex, Real};
+use soi_num::{AlignedBuf, Complex64};
 use soi_pool::{part_range, SlicePtr, ThreadPool};
 use std::sync::Arc;
 
 /// Executor for `I_count ⊗ F_len`: `count` independent FFTs over
 /// contiguous rows of length `len`.
 #[derive(Debug)]
-pub struct BatchFft<T> {
-    plan: Arc<Plan<T>>,
+pub struct BatchFft {
+    plan: Arc<Plan>,
     /// Batched AVX2 fast path, decided once at plan time: forward rows of
     /// length 8 (the production `F_P` shape, where per-row plan dispatch
     /// overhead rivals the butterfly work) run through
@@ -33,7 +33,7 @@ pub struct BatchFft<T> {
     dft8: bool,
 }
 
-impl<T: Real> BatchFft<T> {
+impl BatchFft {
     /// Plan a batch of transforms of size `len` in `direction`.
     pub fn new(len: usize, direction: Direction) -> Self {
         Self::with_plan(Arc::new(Plan::new(len, direction)))
@@ -41,16 +41,13 @@ impl<T: Real> BatchFft<T> {
 
     /// Build a batch executor around an existing shared plan (e.g. from a
     /// [`crate::plan::Planner`] cache) instead of planning from scratch.
-    pub fn with_plan(plan: Arc<Plan<T>>) -> Self {
-        let dft8 = plan.len() == 8
-            && plan.direction() == Direction::Forward
-            && simd::is_c64::<T>()
-            && simd::enabled();
+    pub fn with_plan(plan: Arc<Plan>) -> Self {
+        let dft8 = plan.len() == 8 && plan.direction() == Direction::Forward && simd::enabled();
         Self { plan, dft8 }
     }
 
     /// The shared row plan.
-    pub fn plan(&self) -> &Plan<T> {
+    pub fn plan(&self) -> &Plan {
         &self.plan
     }
 
@@ -71,7 +68,7 @@ impl<T: Real> BatchFft<T> {
     ///
     /// # Panics
     /// Panics if `data.len()` is not a multiple of the row length.
-    pub fn execute(&self, data: &mut [Complex<T>]) {
+    pub fn execute(&self, data: &mut [Complex64]) {
         let mut scratch = AlignedBuf::zeroed(self.scratch_len());
         self.execute_with_scratch(data, &mut scratch);
     }
@@ -82,7 +79,7 @@ impl<T: Real> BatchFft<T> {
     /// # Panics
     /// Panics if `data.len()` is not a multiple of the row length or the
     /// scratch is too short.
-    pub fn execute_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+    pub fn execute_with_scratch(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         let m = self.plan.len();
         assert!(
             data.len() % m == 0,
@@ -98,8 +95,8 @@ impl<T: Real> BatchFft<T> {
         #[cfg(target_arch = "x86_64")]
         if self.dft8 {
             let rows = data.len() / m;
-            // SAFETY: `dft8` implies AVX2+FMA detected and `T = f64`.
-            unsafe { simd::avx2::dft8_rows(simd::c64s_mut(data), rows, true) };
+            // SAFETY: `dft8` implies AVX2+FMA detected.
+            unsafe { simd::avx2::dft8_rows(data, rows, true) };
             return;
         }
         for row in data.chunks_exact_mut(m) {
@@ -118,9 +115,9 @@ impl<T: Real> BatchFft<T> {
     /// scratch arena is too short.
     pub fn execute_pooled(
         &self,
-        data: &mut [Complex<T>],
+        data: &mut [Complex64],
         pool: &ThreadPool,
-        scratch: &mut [Complex<T>],
+        scratch: &mut [Complex64],
     ) {
         let m = self.plan.len();
         assert!(
@@ -153,8 +150,8 @@ impl<T: Real> BatchFft<T> {
             let scr = unsafe { scratch_ptr.slice(t * stride, stride) };
             #[cfg(target_arch = "x86_64")]
             if self.dft8 {
-                // SAFETY: `dft8` implies AVX2+FMA detected and `T = f64`.
-                unsafe { simd::avx2::dft8_rows(simd::c64s_mut(chunk), rl, true) };
+                // SAFETY: `dft8` implies AVX2+FMA detected.
+                unsafe { simd::avx2::dft8_rows(chunk, rl, true) };
                 return;
             }
             for row in chunk.chunks_exact_mut(m) {
@@ -189,7 +186,7 @@ mod tests {
     }
 
     /// `batch` over `data` on a pool of `workers`, with a fresh arena.
-    fn pooled(batch: &BatchFft<f64>, data: &mut [Complex64], workers: usize) {
+    fn pooled(batch: &BatchFft, data: &mut [Complex64], workers: usize) {
         let rows = data.len() / batch.row_len();
         let mut scratch = vec![Complex64::ZERO; workers.min(rows) * batch.scratch_len()];
         batch.execute_pooled(data, &ThreadPool::new(workers), &mut scratch);
@@ -290,7 +287,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "scratch arena too short")]
     fn pooled_execute_rejects_short_scratch() {
-        let batch = BatchFft::<f64>::new(8, Direction::Forward);
+        let batch = BatchFft::new(8, Direction::Forward);
         let pool = ThreadPool::new(2);
         let mut data = vec![Complex64::ZERO; 32];
         let mut scratch = vec![Complex64::ZERO; 7];

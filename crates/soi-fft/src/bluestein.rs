@@ -11,31 +11,31 @@ use crate::fourstep::RawFft;
 use crate::plan::Planner;
 use crate::simd;
 use crate::twiddle::Sign;
-use soi_num::{AlignedBuf, Complex, Real};
+use soi_num::{AlignedBuf, Complex64};
 use std::sync::Arc;
 
 /// A prepared arbitrary-size Bluestein transform.
 #[derive(Debug, Clone)]
-pub struct BluesteinFft<T> {
+pub struct BluesteinFft {
     n: usize,
     m: usize,
     sign: Sign,
     /// Chirp `b_j = exp(∓iπ j²/n)`, j < n (cache-line aligned stream).
-    chirp: AlignedBuf<Complex<T>>,
+    chirp: AlignedBuf<Complex64>,
     /// Forward FFT (size m) of the zero-padded conjugate-chirp filter
     /// (cache-line aligned stream).
-    filter_hat: AlignedBuf<Complex<T>>,
+    filter_hat: AlignedBuf<Complex64>,
     /// Post-multiply chirp with the `1/m` convolution normalization
     /// folded in at plan time, so the output sweep is one complex
     /// product per point instead of scale-then-multiply.
-    post_chirp: AlignedBuf<Complex<T>>,
+    post_chirp: AlignedBuf<Complex64>,
     /// Size-`m` convolution engines (planner-cached Stockham plans; the
     /// padded size is a power of two by construction).
-    fwd: Arc<RawFft<T>>,
-    inv: Arc<RawFft<T>>,
+    fwd: Arc<RawFft>,
+    inv: Arc<RawFft>,
 }
 
-impl<T: Real> BluesteinFft<T> {
+impl BluesteinFft {
     /// Plan a transform of any positive size `n`.
     pub fn new(n: usize, sign: Sign) -> Self {
         Self::new_in(n, sign, &Planner::new())
@@ -44,12 +44,12 @@ impl<T: Real> BluesteinFft<T> {
     /// Plan inside a [`Planner`], pulling the two size-`m` convolution
     /// engines from the planner's raw-engine cache — so many Bluestein
     /// plans sharing a padded size build the Stockham twiddles once.
-    pub fn new_in(n: usize, sign: Sign, planner: &Planner<T>) -> Self {
+    pub fn new_in(n: usize, sign: Sign, planner: &Planner) -> Self {
         assert!(n > 0);
         let m = (2 * n - 1).next_power_of_two();
         // b_j = exp(∓iπ j²/n) = ω_{2n}^{j²} with j² reduced mod 2n.
         let two_n = 2 * n;
-        let chirp: Vec<Complex<T>> = (0..n)
+        let chirp: Vec<Complex64> = (0..n)
             .map(|j| {
                 let jj = ((j as u128 * j as u128) % two_n as u128) as usize;
                 sign.root(jj, two_n)
@@ -58,7 +58,7 @@ impl<T: Real> BluesteinFft<T> {
         let fwd = planner.raw(m, Sign::Forward);
         let inv = planner.raw(m, Sign::Inverse);
         // Filter h_j = conj(b_j) for |j| < n, wrapped cyclically at m.
-        let mut h = vec![Complex::ZERO; m];
+        let mut h = vec![Complex64::ZERO; m];
         for j in 0..n {
             h[j] = chirp[j].conj();
             if j != 0 {
@@ -66,8 +66,8 @@ impl<T: Real> BluesteinFft<T> {
             }
         }
         fwd.execute(&mut h);
-        let inv_m = T::ONE / T::from_usize(m);
-        let post: Vec<Complex<T>> = chirp.iter().map(|c| c.scale(inv_m)).collect();
+        let inv_m = 1.0 / m as f64;
+        let post: Vec<Complex64> = chirp.iter().map(|c| c.scale(inv_m)).collect();
         Self {
             n,
             m,
@@ -115,7 +115,7 @@ impl<T: Real> BluesteinFft<T> {
     }
 
     /// In-place execute.
-    pub fn execute(&self, data: &mut [Complex<T>]) {
+    pub fn execute(&self, data: &mut [Complex64]) {
         let mut scratch = AlignedBuf::zeroed(self.scratch_len());
         self.execute_with_scratch(data, &mut scratch);
     }
@@ -129,7 +129,7 @@ impl<T: Real> BluesteinFft<T> {
     /// In-place execute reusing caller scratch (`scratch.len()` must be at
     /// least [`Self::scratch_len`]); allocation-free. The padding region
     /// is re-zeroed on every call, so stale scratch contents are harmless.
-    pub fn execute_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+    pub fn execute_with_scratch(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         assert_eq!(data.len(), self.n);
         assert!(
             scratch.len() >= self.scratch_len(),
@@ -144,7 +144,7 @@ impl<T: Real> BluesteinFft<T> {
         // streams (the 1/m normalization is baked into `post_chirp`), the
         // pointwise filter as an in-place weighted product.
         simd::weighted_product(&mut a[..self.n], data, &self.chirp);
-        a[self.n..].fill(Complex::ZERO);
+        a[self.n..].fill(Complex64::ZERO);
         self.fwd.execute_with_scratch(a, st);
         simd::weighted_product_in(a, &self.filter_hat);
         self.inv.execute_with_scratch(a, st);
@@ -152,7 +152,7 @@ impl<T: Real> BluesteinFft<T> {
     }
 
     /// Out-of-place execute.
-    pub fn process(&self, src: &[Complex<T>], dst: &mut [Complex<T>]) {
+    pub fn process(&self, src: &[Complex64], dst: &mut [Complex64]) {
         dst.copy_from_slice(src);
         self.execute(dst);
     }
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn padded_length_is_sufficient_power_of_two() {
-        let plan = BluesteinFft::<f64>::new(1000, Sign::Forward);
+        let plan = BluesteinFft::new(1000, Sign::Forward);
         assert!(plan.padded_len().is_power_of_two());
         assert!(plan.padded_len() >= 1999);
     }

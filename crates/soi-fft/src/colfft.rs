@@ -38,7 +38,7 @@ const TILE_ELEMS: usize = 2048;
 pub(crate) struct ColumnFft {
     a: usize,
     w: usize,
-    stages: Vec<StageTwiddles<f64>>,
+    stages: Vec<StageTwiddles>,
     /// Radix-5 butterfly constants `(Re ω₅, Re ω₅², Im ω₅, Im ω₅²)`,
     /// direction-signed (also the direction oracle for the pow2 stages).
     r5: (f64, f64, f64, f64),

@@ -11,7 +11,7 @@
 //! other sizes fall back to the naive `O(N²)` dd DFT.
 
 use soi_num::dd::DdComplex;
-use soi_num::{Complex, Real};
+use soi_num::Complex64;
 
 /// Forward DFT of `x` computed in double-double, returned as dd pairs.
 pub fn dd_fft_forward(x: &[DdComplex]) -> Vec<DdComplex> {
@@ -31,11 +31,8 @@ pub fn dd_fft_forward(x: &[DdComplex]) -> Vec<DdComplex> {
 /// High-precision reference spectrum of an f64 complex signal, rounded to
 /// f64 `(re, im)` pairs at the end. The rounding error is ≤ half an ulp
 /// per component, far below anything being measured.
-pub fn reference_spectrum<T: Real>(x: &[Complex<T>]) -> Vec<(f64, f64)> {
-    let wide: Vec<DdComplex> = x
-        .iter()
-        .map(|c| DdComplex::from_f64(c.re.to_f64(), c.im.to_f64()))
-        .collect();
+pub fn reference_spectrum(x: &[Complex64]) -> Vec<(f64, f64)> {
+    let wide: Vec<DdComplex> = x.iter().map(|c| DdComplex::from_f64(c.re, c.im)).collect();
     dd_fft_forward(&wide).iter().map(|c| c.to_f64()).collect()
 }
 

@@ -7,22 +7,22 @@
 
 use crate::twiddle::Sign;
 use soi_num::kahan::KahanComplexSum;
-use soi_num::{Complex, Real};
+use soi_num::Complex64;
 
 /// Naive forward DFT: `y_k = Σ_j x_j·exp(−2πi jk/N)`.
-pub fn dft_naive<T: Real>(x: &[Complex<T>]) -> Vec<Complex<T>> {
+pub fn dft_naive(x: &[Complex64]) -> Vec<Complex64> {
     dft_naive_signed(x, Sign::Forward)
 }
 
 /// Naive unnormalized inverse DFT: `y_k = Σ_j x_j·exp(+2πi jk/N)`.
-pub fn idft_naive_unnormalized<T: Real>(x: &[Complex<T>]) -> Vec<Complex<T>> {
+pub fn idft_naive_unnormalized(x: &[Complex64]) -> Vec<Complex64> {
     dft_naive_signed(x, Sign::Inverse)
 }
 
 /// Naive inverse DFT normalized by `1/N` (inverse of [`dft_naive`]).
-pub fn idft_naive<T: Real>(x: &[Complex<T>]) -> Vec<Complex<T>> {
+pub fn idft_naive(x: &[Complex64]) -> Vec<Complex64> {
     let n = x.len();
-    let scale = T::ONE / T::from_usize(n.max(1));
+    let scale = 1.0 / n.max(1) as f64;
     idft_naive_unnormalized(x)
         .into_iter()
         .map(|v| v.scale(scale))
@@ -30,7 +30,7 @@ pub fn idft_naive<T: Real>(x: &[Complex<T>]) -> Vec<Complex<T>> {
 }
 
 /// Naive DFT with an explicit direction.
-pub fn dft_naive_signed<T: Real>(x: &[Complex<T>], sign: Sign) -> Vec<Complex<T>> {
+pub fn dft_naive_signed(x: &[Complex64], sign: Sign) -> Vec<Complex64> {
     let n = x.len();
     let mut y = Vec::with_capacity(n);
     for k in 0..n {
@@ -38,24 +38,24 @@ pub fn dft_naive_signed<T: Real>(x: &[Complex<T>], sign: Sign) -> Vec<Complex<T>
         for (j, &xj) in x.iter().enumerate() {
             // Index reduction keeps the twiddle angle accurate even when
             // j*k overflows usize ranges where sin/cos loses precision.
-            let w: Complex<T> = sign.root((j % n) * k % n, n);
+            let w = sign.root((j % n) * k % n, n);
             acc.add(xj * w);
         }
-        y.push(Complex::from_c64(acc.value()));
+        y.push(acc.value());
     }
     y
 }
 
 /// Naive DFT of a single output bin `k` (useful for spot-checking huge
 /// transforms without `O(N²)` total work).
-pub fn dft_bin<T: Real>(x: &[Complex<T>], k: usize) -> Complex<T> {
+pub fn dft_bin(x: &[Complex64], k: usize) -> Complex64 {
     let n = x.len();
     let mut acc = KahanComplexSum::new();
     for (j, &xj) in x.iter().enumerate() {
-        let w: Complex<T> = Sign::Forward.root(j * (k % n) % n, n);
+        let w = Sign::Forward.root(j * (k % n) % n, n);
         acc.add(xj * w);
     }
-    Complex::from_c64(acc.value())
+    acc.value()
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use crate::mixed::MixedRadixFft;
 use crate::simd;
 use crate::stockham::StockhamFft;
 use crate::twiddle::Sign;
-use soi_num::{AlignedBuf, Complex, Real};
+use soi_num::{AlignedBuf, Complex64};
 use std::sync::Arc;
 
 /// Transpose block edge (elements); 32 complex doubles = 512 B per row
@@ -35,14 +35,14 @@ const BLOCK: usize = 32;
 /// engines (four-step, Bluestein) recurse into, and what
 /// [`crate::Planner`] caches so inner twiddle tables are shared.
 #[derive(Debug, Clone)]
-pub enum RawFft<T> {
+pub enum RawFft {
     /// Power-of-two Stockham engine.
-    Stockham(StockhamFft<T>),
+    Stockham(StockhamFft),
     /// General smooth-size mixed-radix engine.
-    Mixed(MixedRadixFft<T>),
+    Mixed(MixedRadixFft),
 }
 
-impl<T: Real> RawFft<T> {
+impl RawFft {
     /// Build the natural raw engine for `n` (callers route sizes with
     /// huge prime factors to Bluestein *before* reaching here; mixed
     /// still handles them, just in `O(r²)` per large factor).
@@ -90,7 +90,7 @@ impl<T: Real> RawFft<T> {
     }
 
     /// In-place unnormalized execute reusing caller scratch.
-    pub fn execute_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+    pub fn execute_with_scratch(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         match self {
             RawFft::Stockham(e) => e.execute_with_scratch(data, &mut scratch[..e.len()]),
             RawFft::Mixed(e) => e.execute_with_scratch(data, scratch),
@@ -98,7 +98,7 @@ impl<T: Real> RawFft<T> {
     }
 
     /// In-place unnormalized execute, allocating scratch internally.
-    pub fn execute(&self, data: &mut [Complex<T>]) {
+    pub fn execute(&self, data: &mut [Complex64]) {
         let mut scratch = AlignedBuf::zeroed(self.scratch_len());
         self.execute_with_scratch(data, &mut scratch);
     }
@@ -111,9 +111,9 @@ impl<T: Real> RawFft<T> {
     /// buffer.
     pub fn process_with_scratch(
         &self,
-        src: &[Complex<T>],
-        dst: &mut [Complex<T>],
-        scratch: &mut [Complex<T>],
+        src: &[Complex64],
+        dst: &mut [Complex64],
+        scratch: &mut [Complex64],
     ) {
         match self {
             RawFft::Stockham(e) => e.process_with_scratch(src, dst, &mut scratch[..e.len()]),
@@ -140,7 +140,7 @@ impl<T: Real> RawFft<T> {
 
 /// A prepared four-step transform of composite size `n = a·b`.
 #[derive(Debug, Clone)]
-pub struct FourStepFft<T> {
+pub struct FourStepFft {
     n: usize,
     a: usize,
     b: usize,
@@ -150,12 +150,12 @@ pub struct FourStepFft<T> {
     /// matching the matrix) when `col` is active so the fused scatter
     /// streams it unit-stride, else `tw[j2·a + k1]` to match the `b×a`
     /// buffer of the transpose-based path.
-    tw: AlignedBuf<Complex<T>>,
+    tw: AlignedBuf<Complex64>,
     /// `a`-point row engine (applied `b` times on the transpose-based
     /// path; on the batched column path it only documents the codelets).
-    fa: Arc<RawFft<T>>,
+    fa: Arc<RawFft>,
     /// `b`-point row engine (applied `a` times).
-    fb: Arc<RawFft<T>>,
+    fb: Arc<RawFft>,
     /// Run the transpose / twiddle / fused-epilogue passes through the
     /// AVX2 kernels (decided once at construction, like the engines').
     simd: bool,
@@ -180,7 +180,7 @@ pub fn split(n: usize) -> usize {
     best
 }
 
-impl<T: Real> FourStepFft<T> {
+impl FourStepFft {
     /// Plan a four-step transform, building inner engines directly.
     ///
     /// # Panics
@@ -208,15 +208,15 @@ impl<T: Real> FourStepFft<T> {
     /// The split is taken from the engines themselves — `fa.len()·fb.len()`
     /// must equal `n` with both sides nontrivial — so the planner is free
     /// to pick a better-than-near-square split.
-    pub fn with_engines(n: usize, sign: Sign, fa: Arc<RawFft<T>>, fb: Arc<RawFft<T>>) -> Self {
+    pub fn with_engines(n: usize, sign: Sign, fa: Arc<RawFft>, fb: Arc<RawFft>) -> Self {
         Self::with_engines_opts(n, sign, fa, fb, simd::enabled())
     }
 
     fn with_engines_opts(
         n: usize,
         sign: Sign,
-        fa: Arc<RawFft<T>>,
-        fb: Arc<RawFft<T>>,
+        fa: Arc<RawFft>,
+        fb: Arc<RawFft>,
         want: bool,
     ) -> Self {
         let a = fa.len();
@@ -224,7 +224,7 @@ impl<T: Real> FourStepFft<T> {
         assert!(a > 1 && b > 1, "four-step needs a composite size, got {n}");
         assert_eq!(a * b, n, "inner engine sizes {a}·{b} != {n}");
         assert!(fa.sign() == sign && fb.sign() == sign, "inner engine sign mismatch");
-        let simd = want && simd::cpu_supported() && simd::is_c64::<T>();
+        let simd = want && simd::cpu_supported();
         let col = if simd {
             ColumnFft::width_for(a, b).map(|w| ColumnFft::new(a, w, sign))
         } else {
@@ -322,7 +322,7 @@ impl<T: Real> FourStepFft<T> {
 
     /// In-place unnormalized execute reusing caller scratch
     /// (`scratch.len() >= self.scratch_len()`); allocation-free.
-    pub fn execute_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+    pub fn execute_with_scratch(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         let in_buf = self.run_steps(data, scratch, true);
         debug_assert!(in_buf, "want_buf must stage the F_b rows in scratch");
         let (buf, _) = scratch.split_at_mut(self.n);
@@ -334,11 +334,11 @@ impl<T: Real> FourStepFft<T> {
 
     /// Blocked transpose through the SIMD kernel when active, the scalar
     /// block loop otherwise (identical element moves either way).
-    fn transpose_pass(&self, src: &[Complex<T>], dst: &mut [Complex<T>], rows: usize, cols: usize) {
+    fn transpose_pass(&self, src: &[Complex64], dst: &mut [Complex64], rows: usize, cols: usize) {
         #[cfg(target_arch = "x86_64")]
         if self.simd {
-            // Safety: `simd` implies AVX2+FMA detected and `T = f64`.
-            unsafe { simd::avx2::transpose(simd::c64s(src), simd::c64s_mut(dst), rows, cols) };
+            // Safety: `simd` implies AVX2+FMA detected.
+            unsafe { simd::avx2::transpose(src, dst, rows, cols) };
             return;
         }
         transpose_blocked(src, dst, rows, cols);
@@ -355,16 +355,16 @@ impl<T: Real> FourStepFft<T> {
     /// [`Self::execute_with_scratch`] followed by the multiply loop.
     pub fn execute_fused_into(
         &self,
-        data: &mut [Complex<T>],
-        scratch: &mut [Complex<T>],
-        out: &mut [Complex<T>],
-        weights: &[Complex<T>],
+        data: &mut [Complex64],
+        scratch: &mut [Complex64],
+        out: &mut [Complex64],
+        weights: &[Complex64],
     ) {
         assert!(out.len() <= self.n, "fused output longer than transform");
         assert!(weights.len() >= out.len(), "fused weights too short");
         let in_buf = self.run_steps(data, scratch, false);
         let (buf, _) = scratch.split_at_mut(self.n);
-        let src: &[Complex<T>] = if in_buf { buf } else { data };
+        let src: &[Complex64] = if in_buf { buf } else { data };
         // Fused final step: blocked transpose of the a×b result directly
         // into the weighted output. src[k1·b + k2] = y[k1 + a·k2], so
         // output index k = k2·a + k1.
@@ -372,18 +372,10 @@ impl<T: Real> FourStepFft<T> {
         let klim = out.len();
         #[cfg(target_arch = "x86_64")]
         if self.simd {
-            // Safety: `simd` implies AVX2+FMA detected and `T = f64`. The
-            // kernel's weighted multiply uses the exact-rounding form, so
-            // the fused result stays bitwise equal to unfused+multiply.
-            unsafe {
-                simd::avx2::weighted_transpose(
-                    simd::c64s(src),
-                    simd::c64s(weights),
-                    simd::c64s_mut(out),
-                    a,
-                    b,
-                )
-            };
+            // Safety: `simd` implies AVX2+FMA detected. The kernel's
+            // weighted multiply uses the exact-rounding form, so the fused
+            // result stays bitwise equal to unfused+multiply.
+            unsafe { simd::avx2::weighted_transpose(src, weights, out, a, b) };
             return;
         }
         for r0 in (0..a).step_by(BLOCK) {
@@ -411,7 +403,7 @@ impl<T: Real> FourStepFft<T> {
     /// the result wherever it lies, so they pass `false` and F_b runs in
     /// place. The choice only moves bytes — the computed values are
     /// bitwise identical.
-    fn run_steps(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>], want_buf: bool) -> bool {
+    fn run_steps(&self, data: &mut [Complex64], scratch: &mut [Complex64], want_buf: bool) -> bool {
         assert_eq!(data.len(), self.n, "data length mismatch");
         assert!(
             scratch.len() >= self.scratch_len(),
@@ -427,16 +419,11 @@ impl<T: Real> FourStepFft<T> {
             // twiddle fused into the store. No transpose materializes.
             let (buf, rest) = scratch.split_at_mut(self.n);
             let (tiles, inner) = rest.split_at_mut(2 * col.tile_len());
-            {
-                let d = simd::c64s_mut(data);
-                let t = simd::c64s_mut(tiles);
-                let twc = simd::c64s(&self.tw);
-                let w = col.width();
-                let mut c0 = 0;
-                while c0 < b {
-                    col.run_block(d, b, c0, twc, t);
-                    c0 += w;
-                }
+            let w = col.width();
+            let mut c0 = 0;
+            while c0 < b {
+                col.run_block(data, b, c0, &self.tw, tiles);
+                c0 += w;
             }
             // Step 5: a rows of F_b. When the caller wants the result in
             // `buf`, run each row transform out-of-place data→buf so the
@@ -493,20 +480,12 @@ impl<T: Real> FourStepFft<T> {
     }
 
     /// Fused steps 3+4: `data[k1·b + j2] = buf[j2·a + k1] · tw[j2·a + k1]`.
-    fn twiddle_pass(&self, buf: &[Complex<T>], data: &mut [Complex<T>]) {
+    fn twiddle_pass(&self, buf: &[Complex64], data: &mut [Complex64]) {
         let (a, b) = (self.a, self.b);
         #[cfg(target_arch = "x86_64")]
         if self.simd {
-            // Safety: `simd` implies AVX2+FMA detected and `T = f64`.
-            unsafe {
-                simd::avx2::twiddle_transpose(
-                    simd::c64s(buf),
-                    simd::c64s(&self.tw),
-                    simd::c64s_mut(data),
-                    a,
-                    b,
-                )
-            };
+            // Safety: `simd` implies AVX2+FMA detected.
+            unsafe { simd::avx2::twiddle_transpose(buf, &self.tw, data, a, b) };
             return;
         }
         for c0 in (0..a).step_by(BLOCK) {
@@ -523,7 +502,7 @@ impl<T: Real> FourStepFft<T> {
     }
 
     /// In-place unnormalized execute, allocating scratch internally.
-    pub fn execute(&self, data: &mut [Complex<T>]) {
+    pub fn execute(&self, data: &mut [Complex64]) {
         let mut scratch = AlignedBuf::zeroed(self.scratch_len());
         self.execute_with_scratch(data, &mut scratch);
     }
@@ -633,7 +612,7 @@ mod tests {
     fn codelets_report_inner_engines() {
         // 163840 = 320·512: Stockham pow2 side + mixed side with a
         // radix-5 level; the generic butterfly must not appear.
-        let plan = FourStepFft::<f64>::new(163840, Sign::Forward);
+        let plan = FourStepFft::new(163840, Sign::Forward);
         let cods = plan.codelets();
         assert!(cods.contains(&Codelet::Radix5), "{cods:?}");
         assert!(cods.iter().all(|c| !c.is_generic()), "{cods:?}");
@@ -642,6 +621,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "composite")]
     fn rejects_prime_sizes() {
-        let _ = FourStepFft::<f64>::new(97, Sign::Forward);
+        let _ = FourStepFft::new(97, Sign::Forward);
     }
 }

@@ -4,6 +4,11 @@
 //! Intel MKL single- and multi-threaded FFTs as node-local building blocks
 //! (Fig 2); we build the equivalent here so nothing is mocked.
 //!
+//! Every engine transforms [`soi_num::Complex64`] data. The SOI FFT is a
+//! double-precision method, so `f64` is the only element type, and each
+//! engine is compiled once, in this crate, and called directly by the
+//! crates above it.
+//!
 //! Contents:
 //!
 //! * [`plan`] — FFTW-style planner. [`Plan`] picks, per size:
@@ -52,13 +57,13 @@ pub mod twiddle;
 
 pub use plan::{CacheStats, Direction, Lru, Plan, Planner};
 
-use soi_num::{Complex, Real};
+use soi_num::Complex64;
 
 /// One-shot forward FFT (unnormalized, DFT convention `e^{−2πi jk/N}`).
 ///
 /// Convenience wrapper; for repeated transforms of one size build a
 /// [`Plan`] once instead.
-pub fn fft_forward<T: Real>(x: &[Complex<T>]) -> Vec<Complex<T>> {
+pub fn fft_forward(x: &[Complex64]) -> Vec<Complex64> {
     let plan = Plan::forward(x.len());
     let mut buf = x.to_vec();
     plan.execute(&mut buf);
@@ -67,7 +72,7 @@ pub fn fft_forward<T: Real>(x: &[Complex<T>]) -> Vec<Complex<T>> {
 
 /// One-shot inverse FFT, normalized by `1/N` so that
 /// `ifft(fft(x)) == x`.
-pub fn fft_inverse<T: Real>(x: &[Complex<T>]) -> Vec<Complex<T>> {
+pub fn fft_inverse(x: &[Complex64]) -> Vec<Complex64> {
     let plan = Plan::inverse(x.len());
     let mut buf = x.to_vec();
     plan.execute(&mut buf);

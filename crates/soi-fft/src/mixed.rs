@@ -20,7 +20,7 @@ use crate::codelet::{self, Codelet, Dispatch};
 use crate::simd;
 use crate::stockham::StockhamFft;
 use crate::twiddle::Sign;
-use soi_num::{AlignedBuf, Complex, Real};
+use soi_num::{AlignedBuf, Complex64};
 
 /// Factor `n` into non-decreasing primes.
 pub fn factorize(mut n: usize) -> Vec<usize> {
@@ -63,17 +63,17 @@ struct LevelSimd {
 
 /// Per-recursion-depth precomputed data.
 #[derive(Debug, Clone)]
-struct Level<T> {
+struct Level {
     /// Radix used at this depth.
     radix: usize,
     /// Subproblem size *after* the split (`size/radix`).
     m: usize,
     /// Combination twiddles `ω_size^{q·k}` laid out as
     /// `tw[k*(r-1) + (q-1)]` for `q in 1..r`, `k in 0..m`.
-    tw: Vec<Complex<T>>,
+    tw: Vec<Complex64>,
     /// Dense roots of order `radix` (for the generic butterfly):
     /// `roots[j] = ω_radix^j`.
-    roots: Vec<Complex<T>>,
+    roots: Vec<Complex64>,
     /// Dup'd twiddle streams when this level has a SIMD combine
     /// (radix 4 at any `m`, radix 5 and the generic primes `8 < r < 64`
     /// at `m ≥ 2`).
@@ -82,20 +82,20 @@ struct Level<T> {
 
 /// A prepared mixed-radix transform of arbitrary smooth size.
 #[derive(Debug, Clone)]
-pub struct MixedRadixFft<T> {
+pub struct MixedRadixFft {
     n: usize,
     sign: Sign,
-    levels: Vec<Level<T>>,
+    levels: Vec<Level>,
     /// Upper bound on radix, sizing the per-execute butterfly scratch.
     max_radix: usize,
     /// Stockham smooth ladder for `n = 2^k·5^j` on SIMD hosts: the
     /// streaming stage structure beats the strided DIT recursion by
     /// 2–3× at the pipeline's hot `M' = 2^k·5` sizes, so execution
     /// delegates wholesale when the shape fits.
-    ladder: Option<StockhamFft<T>>,
+    ladder: Option<StockhamFft>,
 }
 
-impl<T: Real> MixedRadixFft<T> {
+impl MixedRadixFft {
     /// Plan a transform of size `n` (any positive integer; cost is
     /// `O(N·Σrᵢ)`, so route large prime factors to Bluestein instead),
     /// with SIMD dispatch decided by [`simd::enabled`].
@@ -104,13 +104,13 @@ impl<T: Real> MixedRadixFft<T> {
     }
 
     /// Plan with an explicit SIMD request; `want` is intersected with
-    /// host support (AVX2+FMA, `f64` elements). Deliberately ignores
-    /// `SOI_NO_SIMD` so property tests can compare both paths in one
-    /// process. SIMD combines exist for the radix-4 and radix-5 levels
-    /// (the hot ones at `M' = 2^k·5`); other radices stay portable.
+    /// host support (AVX2+FMA). Deliberately ignores `SOI_NO_SIMD` so
+    /// property tests can compare both paths in one process. SIMD
+    /// combines exist for the radix-4 and radix-5 levels (the hot ones
+    /// at `M' = 2^k·5`); other radices stay portable.
     pub fn with_simd(n: usize, sign: Sign, want: bool) -> Self {
         assert!(n > 0);
-        let simd_ok = want && simd::cpu_supported() && simd::is_c64::<T>();
+        let simd_ok = want && simd::cpu_supported();
         let factors = factorize(n);
         // Merge pairs of 2s into radix-4 levels: one radix-4 combine does
         // the work of two radix-2 passes in a single trip over the data.
@@ -137,12 +137,11 @@ impl<T: Real> MixedRadixFft<T> {
             }
             let roots = (0..r).map(|j| sign.root(j, r)).collect();
             let lsimd = if simd_ok && (r == 4 || (r == 5 && m >= 2) || (r > 8 && r < 64 && m >= 2)) {
-                let tw64 = simd::c64s(&tw);
                 let mut re = vec![0.0f64; (r - 1) * 2 * m];
                 let mut im = vec![0.0f64; (r - 1) * 2 * m];
                 for q in 0..r - 1 {
                     for k in 0..m {
-                        let w = tw64[k * (r - 1) + q];
+                        let w = tw[k * (r - 1) + q];
                         re[q * 2 * m + 2 * k] = w.re;
                         re[q * 2 * m + 2 * k + 1] = w.re;
                         im[q * 2 * m + 2 * k] = w.im;
@@ -224,7 +223,7 @@ impl<T: Real> MixedRadixFft<T> {
     }
 
     /// Out-of-place execute: `dst` receives the DFT of `src`.
-    pub fn process(&self, src: &[Complex<T>], dst: &mut [Complex<T>]) {
+    pub fn process(&self, src: &[Complex64], dst: &mut [Complex64]) {
         let mut scratch = AlignedBuf::zeroed(self.scratch_len());
         self.process_with_scratch(src, dst, &mut scratch);
     }
@@ -236,9 +235,9 @@ impl<T: Real> MixedRadixFft<T> {
     /// `data` through scratch first) — results are bitwise identical.
     pub fn process_with_scratch(
         &self,
-        src: &[Complex<T>],
-        dst: &mut [Complex<T>],
-        scratch: &mut [Complex<T>],
+        src: &[Complex64],
+        dst: &mut [Complex64],
+        scratch: &mut [Complex64],
     ) {
         assert_eq!(src.len(), self.n);
         assert_eq!(dst.len(), self.n);
@@ -250,7 +249,7 @@ impl<T: Real> MixedRadixFft<T> {
     }
 
     /// In-place execute (internally out-of-place into scratch).
-    pub fn execute(&self, data: &mut [Complex<T>]) {
+    pub fn execute(&self, data: &mut [Complex64]) {
         let mut scratch = AlignedBuf::zeroed(self.scratch_len());
         self.execute_with_scratch(data, &mut scratch);
     }
@@ -264,7 +263,7 @@ impl<T: Real> MixedRadixFft<T> {
     /// In-place execute reusing caller scratch (`scratch.len()` must be at
     /// least [`Self::scratch_len`]); allocation-free. Stale scratch
     /// contents are harmless — every element read is written first.
-    pub fn execute_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+    pub fn execute_with_scratch(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "data length mismatch");
         assert!(
             scratch.len() >= self.scratch_len(),
@@ -287,10 +286,10 @@ impl<T: Real> MixedRadixFft<T> {
     /// execute-then-multiply. Both are bitwise equal to the unfused path.
     pub fn execute_fused_into(
         &self,
-        data: &mut [Complex<T>],
-        scratch: &mut [Complex<T>],
-        out: &mut [Complex<T>],
-        weights: &[Complex<T>],
+        data: &mut [Complex64],
+        scratch: &mut [Complex64],
+        out: &mut [Complex64],
+        weights: &[Complex64],
     ) {
         if let Some(l) = &self.ladder {
             return l.execute_fused_into(data, &mut scratch[..self.n], out, weights);
@@ -304,11 +303,11 @@ impl<T: Real> MixedRadixFft<T> {
     /// the transform, where `size = n / stride`… tracked via `depth`.
     fn rec(
         &self,
-        input: &[Complex<T>],
+        input: &[Complex64],
         stride: usize,
-        output: &mut [Complex<T>],
+        output: &mut [Complex64],
         depth: usize,
-        scratch: &mut [Complex<T>],
+        scratch: &mut [Complex64],
     ) {
         if depth == self.levels.len() {
             debug_assert_eq!(output.len(), 1);
@@ -357,7 +356,7 @@ impl<T: Real> MixedRadixFft<T> {
                     let c = output[2 * m + k] * level.tw[2 * k + 1];
                     let u = b + c;
                     let v = b - c;
-                    let half_u = u.scale(T::HALF);
+                    let half_u = u.scale(0.5);
                     let iv = v.mul_i().scale(-s3); // ∓i·(√3/2)·v folded via root sign
                     output[k] = a + u;
                     output[m + k] = a - half_u - iv;
@@ -479,26 +478,25 @@ impl<T: Real> MixedRadixFft<T> {
     /// returns `false` (caller falls through to the scalar combine)
     /// otherwise.
     #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-    fn combine_simd(&self, level: &Level<T>, output: &mut [Complex<T>]) -> bool {
+    fn combine_simd(&self, level: &Level, output: &mut [Complex64]) -> bool {
         #[cfg(target_arch = "x86_64")]
         if let Some(ls) = &level.simd {
-            let out = simd::c64s_mut(output);
             // Safety: `simd` streams are only built when AVX2+FMA was
-            // detected and `T = f64`; the radix/m geometry each kernel
-            // needs is enforced at construction.
+            // detected; the radix/m geometry each kernel needs is
+            // enforced at construction.
             unsafe {
                 match level.radix {
                     4 => simd::avx2::mixed_r4(
-                        out,
+                        output,
                         level.m,
                         &ls.re,
                         &ls.im,
                         self.sign == Sign::Forward,
                     ),
                     5 => {
-                        let roots = simd::c64s(&level.roots);
+                        let roots = &level.roots;
                         simd::avx2::mixed_r5(
-                            out,
+                            output,
                             level.m,
                             &ls.re,
                             &ls.im,
@@ -509,8 +507,7 @@ impl<T: Real> MixedRadixFft<T> {
                         )
                     }
                     r if r > 8 => {
-                        let roots = simd::c64s(&level.roots);
-                        simd::avx2::mixed_generic(out, level.m, r, &ls.re, &ls.im, roots)
+                        simd::avx2::mixed_generic(output, level.m, r, &ls.re, &ls.im, &level.roots)
                     }
                     r => unreachable!("no SIMD combine for radix {r}"),
                 }
@@ -591,14 +588,14 @@ mod tests {
         use crate::codelet::Codelet;
         // 280 = 2³·5·7: the pair of 2s merges into a radix-4 level, the
         // 5 and 7 run their hand-written butterflies — nothing generic.
-        let plan = MixedRadixFft::<f64>::new(280, Sign::Forward);
+        let plan = MixedRadixFft::new(280, Sign::Forward);
         let cs = plan.codelets();
         assert!(cs.contains(&Codelet::Radix4), "{cs:?}");
         assert!(cs.contains(&Codelet::Radix5), "{cs:?}");
         assert!(cs.contains(&Codelet::Radix7), "{cs:?}");
         assert!(cs.iter().all(|c| !c.is_generic()), "{cs:?}");
         // A leftover prime > 7 still reports the generic fallback.
-        let cs = MixedRadixFft::<f64>::new(11 * 4, Sign::Forward).codelets();
+        let cs = MixedRadixFft::new(11 * 4, Sign::Forward).codelets();
         assert!(cs.contains(&Codelet::Generic(11)), "{cs:?}");
     }
 
@@ -659,7 +656,7 @@ mod tests {
         use crate::codelet::Codelet;
         // 1280 = 2^8·5: the ladder reports Stockham stage radices, all
         // vectorized, and execution matches the naive oracle.
-        let plan = MixedRadixFft::<f64>::with_simd(1280, Sign::Forward, true);
+        let plan = MixedRadixFft::with_simd(1280, Sign::Forward, true);
         let cs = plan.codelets();
         assert!(cs.contains(&Codelet::Radix5), "{cs:?}");
         assert!(cs.contains(&Codelet::Radix8), "{cs:?}");

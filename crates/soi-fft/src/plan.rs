@@ -8,7 +8,7 @@ use crate::mixed::{largest_prime_factor, MixedRadixFft};
 use crate::simd;
 use crate::stockham::StockhamFft;
 use crate::twiddle::Sign;
-use soi_num::{Complex, Real};
+use soi_num::Complex64;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -139,11 +139,11 @@ pub fn choose_split(n: usize) -> usize {
 }
 
 #[derive(Debug, Clone)]
-enum Engine<T> {
-    Stockham(StockhamFft<T>),
-    Mixed(MixedRadixFft<T>),
-    FourStep(FourStepFft<T>),
-    Bluestein(BluesteinFft<T>),
+enum Engine {
+    Stockham(StockhamFft),
+    Mixed(MixedRadixFft),
+    FourStep(FourStepFft),
+    Bluestein(BluesteinFft),
 }
 
 /// A prepared 1-D complex transform of a fixed size and direction.
@@ -155,20 +155,20 @@ enum Engine<T> {
 /// use soi_fft::Plan;
 /// use soi_num::Complex64;
 ///
-/// let plan = Plan::<f64>::forward(8);
+/// let plan = Plan::forward(8);
 /// let mut data = vec![Complex64::ONE; 8];
 /// plan.execute(&mut data);
 /// assert!((data[0].re - 8.0).abs() < 1e-12); // DC bin collects everything
 /// assert!(data[1].abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Plan<T> {
+pub struct Plan {
     n: usize,
     direction: Direction,
-    engine: Engine<T>,
+    engine: Engine,
 }
 
-impl<T: Real> Plan<T> {
+impl Plan {
     /// Plan a transform of size `n` in the given direction.
     pub fn new(n: usize, direction: Direction) -> Self {
         Self::new_in(n, direction, &Planner::new())
@@ -177,7 +177,7 @@ impl<T: Real> Plan<T> {
     /// Plan inside a [`Planner`], so composite engines (four-step,
     /// Bluestein) pull their inner raw engines from the planner's shared
     /// cache instead of rebuilding twiddle tables per plan.
-    pub fn new_in(n: usize, direction: Direction, planner: &Planner<T>) -> Self {
+    pub fn new_in(n: usize, direction: Direction, planner: &Planner) -> Self {
         assert!(n > 0, "cannot plan a zero-length FFT");
         let sign = direction.sign();
         let smooth = n.is_power_of_two() || largest_prime_factor(n) <= MAX_DIRECT_PRIME;
@@ -279,7 +279,7 @@ impl<T: Real> Plan<T> {
     }
 
     /// Execute in place.
-    pub fn execute(&self, data: &mut [Complex<T>]) {
+    pub fn execute(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "plan length mismatch");
         match &self.engine {
             Engine::Stockham(e) => e.execute(data),
@@ -305,16 +305,16 @@ impl<T: Real> Plan<T> {
         }
     }
 
-    /// Execute in place reusing caller scratch. Allocation-free whenever
-    /// `scratch.len() >= self.scratch_len()` (every engine has a scratch
-    /// path); a shorter scratch falls back to internal allocation so
-    /// legacy callers that sized scratch as `n` keep working on every
-    /// engine.
-    pub fn execute_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+    /// Execute in place reusing caller scratch of at least
+    /// [`Self::scratch_len`] elements; allocation-free on every engine.
+    ///
+    /// # Panics
+    /// Panics if `data.len()` is not the plan length or the scratch is
+    /// shorter than [`Self::scratch_len`] (which exceeds `n` on the
+    /// mixed-radix, four-step and Bluestein engines).
+    pub fn execute_with_scratch(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "plan length mismatch");
-        if scratch.len() < self.scratch_len() {
-            return self.execute(data);
-        }
+        self.check_scratch(scratch);
         match &self.engine {
             Engine::Stockham(e) => e.execute_with_scratch(data, &mut scratch[..self.n]),
             Engine::Mixed(e) => e.execute_with_scratch(data, scratch),
@@ -336,17 +336,22 @@ impl<T: Real> Plan<T> {
     /// execute-then-multiply. Either way the result is **bitwise
     /// identical** to [`Self::execute_with_scratch`] followed by the
     /// multiply loop; `data` is clobbered on the fused paths.
+    ///
+    /// # Panics
+    /// As [`Self::execute_with_scratch`], and if `out` is longer than the
+    /// transform or `weights` shorter than `out`.
     pub fn execute_fused_into(
         &self,
-        data: &mut [Complex<T>],
-        scratch: &mut [Complex<T>],
-        out: &mut [Complex<T>],
-        weights: &[Complex<T>],
+        data: &mut [Complex64],
+        scratch: &mut [Complex64],
+        out: &mut [Complex64],
+        weights: &[Complex64],
     ) {
         assert_eq!(data.len(), self.n, "plan length mismatch");
         assert!(out.len() <= self.n, "fused output longer than transform");
         assert!(weights.len() >= out.len(), "fused weights too short");
-        if self.direction == Direction::Forward && scratch.len() >= self.scratch_len() {
+        self.check_scratch(scratch);
+        if self.direction == Direction::Forward {
             match &self.engine {
                 Engine::Stockham(e) => {
                     return e.execute_fused_into(data, &mut scratch[..self.n], out, weights);
@@ -365,10 +370,19 @@ impl<T: Real> Plan<T> {
         simd::weighted_product(out, data, weights);
     }
 
+    fn check_scratch(&self, scratch: &[Complex64]) {
+        assert!(
+            scratch.len() >= self.scratch_len(),
+            "plan scratch too short: {} < {}",
+            scratch.len(),
+            self.scratch_len()
+        );
+    }
+
     /// Apply the `1/N` inverse normalization when the plan is inverse.
-    fn normalize(&self, data: &mut [Complex<T>]) {
+    fn normalize(&self, data: &mut [Complex64]) {
         if self.direction == Direction::Inverse {
-            let scale = T::ONE / T::from_usize(self.n);
+            let scale = 1.0 / self.n as f64;
             for v in data.iter_mut() {
                 *v = v.scale(scale);
             }
@@ -376,7 +390,7 @@ impl<T: Real> Plan<T> {
     }
 
     /// Out-of-place execute.
-    pub fn process(&self, src: &[Complex<T>], dst: &mut [Complex<T>]) {
+    pub fn process(&self, src: &[Complex64], dst: &mut [Complex64]) {
         dst.copy_from_slice(src);
         self.execute(dst);
     }
@@ -518,18 +532,18 @@ fn capacity_from_env() -> usize {
 /// or twiddle memory without limit. Eviction only drops the cache's
 /// `Arc`; live transforms keep their plans alive.
 #[derive(Debug)]
-pub struct Planner<T> {
-    cache: Mutex<Lru<(usize, Direction), Arc<Plan<T>>>>,
-    raw: Mutex<Lru<(usize, Sign), Arc<RawFft<T>>>>,
+pub struct Planner {
+    cache: Mutex<Lru<(usize, Direction), Arc<Plan>>>,
+    raw: Mutex<Lru<(usize, Sign), Arc<RawFft>>>,
 }
 
-impl<T: Real> Default for Planner<T> {
+impl Default for Planner {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Real> Planner<T> {
+impl Planner {
     /// New empty planner with the environment-configured capacity.
     pub fn new() -> Self {
         Self::with_capacity(capacity_from_env())
@@ -547,7 +561,7 @@ impl<T: Real> Planner<T> {
     }
 
     /// Get (or build and cache) a plan.
-    pub fn plan(&self, n: usize, direction: Direction) -> Arc<Plan<T>> {
+    pub fn plan(&self, n: usize, direction: Direction) -> Arc<Plan> {
         if let Some(p) = self
             .cache
             .lock()
@@ -570,7 +584,7 @@ impl<T: Real> Planner<T> {
     }
 
     /// Get (or build and cache) a raw unnormalized inner engine.
-    pub fn raw(&self, n: usize, sign: Sign) -> Arc<RawFft<T>> {
+    pub fn raw(&self, n: usize, sign: Sign) -> Arc<RawFft> {
         if let Some(e) = self
             .raw
             .lock()
@@ -609,12 +623,12 @@ impl<T: Real> Planner<T> {
     }
 
     /// Forward-plan convenience on the shared cache.
-    pub fn forward(&self, n: usize) -> Arc<Plan<T>> {
+    pub fn forward(&self, n: usize) -> Arc<Plan> {
         self.plan(n, Direction::Forward)
     }
 
     /// Inverse-plan convenience on the shared cache.
-    pub fn inverse(&self, n: usize) -> Arc<Plan<T>> {
+    pub fn inverse(&self, n: usize) -> Arc<Plan> {
         self.plan(n, Direction::Inverse)
     }
 
@@ -622,17 +636,15 @@ impl<T: Real> Planner<T> {
     pub fn cached_raw_engines(&self) -> usize {
         self.raw.lock().expect("planner raw cache poisoned").len()
     }
-}
 
-impl Planner<f64> {
-    /// The process-wide shared `f64` planner. Every plan-construction
+    /// The process-wide shared planner. Every plan-construction
     /// site in the workspace (pipeline `F_P`/`F_{M'}`, the exact
     /// reference transforms, the distributed baselines, Bluestein inner
     /// engines) routes through this cache, so twiddle tables for a given
     /// (size, direction) are built once per process no matter how many
     /// transform objects are alive.
-    pub fn global() -> &'static Planner<f64> {
-        static GLOBAL: OnceLock<Planner<f64>> = OnceLock::new();
+    pub fn global() -> &'static Planner {
+        static GLOBAL: OnceLock<Planner> = OnceLock::new();
         GLOBAL.get_or_init(Planner::new)
     }
 }
@@ -651,11 +663,11 @@ mod tests {
 
     #[test]
     fn engine_selection() {
-        assert_eq!(Plan::<f64>::forward(256).engine_name(), "stockham");
-        assert_eq!(Plan::<f64>::forward(360).engine_name(), "mixed-radix");
-        assert_eq!(Plan::<f64>::forward(61 * 4).engine_name(), "mixed-radix");
-        assert_eq!(Plan::<f64>::forward(997).engine_name(), "bluestein");
-        assert_eq!(Plan::<f64>::forward(2 * 67).engine_name(), "bluestein");
+        assert_eq!(Plan::forward(256).engine_name(), "stockham");
+        assert_eq!(Plan::forward(360).engine_name(), "mixed-radix");
+        assert_eq!(Plan::forward(61 * 4).engine_name(), "mixed-radix");
+        assert_eq!(Plan::forward(997).engine_name(), "bluestein");
+        assert_eq!(Plan::forward(2 * 67).engine_name(), "bluestein");
     }
 
     #[test]
@@ -687,7 +699,7 @@ mod tests {
 
     #[test]
     fn planner_caches_and_shares() {
-        let planner: Planner<f64> = Planner::new();
+        let planner = Planner::new();
         let a = planner.plan(128, Direction::Forward);
         let b = planner.plan(128, Direction::Forward);
         assert!(Arc::ptr_eq(&a, &b));
@@ -713,18 +725,33 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "plan scratch too short")]
+    fn short_scratch_panics_instead_of_allocating() {
+        // A four-step plan needs its transpose buffer, column tiles and
+        // inner row scratch on top of `n`; a scratch of `n` once fell
+        // back to allocating all of it on every call.
+        let n = 65536;
+        let plan = Plan::forward(n);
+        assert_eq!(plan.engine_name(), "four-step");
+        assert!(plan.scratch_len() > n);
+        let mut data = test_signal(n);
+        let mut scratch = vec![Complex64::ZERO; n];
+        plan.execute_with_scratch(&mut data, &mut scratch);
+    }
+
+    #[test]
     fn hot_sizes_dispatch_radix5_never_generic() {
         // M' = 163840 = 2^15·5: the N=2^20, P=8 production size. Above
         // the four-step threshold it decomposes as 320×512 with a
         // mixed-radix row engine carrying the factor of 5.
-        let plan = Plan::<f64>::forward(163840);
+        let plan = Plan::forward(163840);
         assert_eq!(plan.engine_name(), "four-step");
         let cs = plan.codelets();
         assert!(cs.contains(&Codelet::Radix5), "{cs:?}");
         assert!(cs.iter().all(|c| !c.is_generic()), "{cs:?}");
         // Below the threshold the monolithic mixed-radix engine must make
         // the same promise (M' = 1280 is the N=2^12, P=4 test size).
-        let small = Plan::<f64>::forward(1280);
+        let small = Plan::forward(1280);
         assert_eq!(small.engine_name(), "mixed-radix");
         let cs = small.codelets();
         assert!(cs.contains(&Codelet::Radix5), "{cs:?}");
@@ -799,7 +826,7 @@ mod tests {
         if !crate::simd::enabled() {
             return; // non-x86 or ablation run: nothing to assert
         }
-        let plan = Plan::<f64>::forward(163840);
+        let plan = Plan::forward(163840);
         assert_eq!(plan.engine_name(), "four-step");
         let cd = plan.codelet_dispatch();
         assert!(
@@ -808,8 +835,13 @@ mod tests {
         );
         assert_eq!(plan.dispatch_name(), "avx2+fma");
         // The small-M' mixed-radix plan makes the same promise.
-        let small = Plan::<f64>::forward(1280);
-        assert_eq!(small.dispatch_name(), "avx2+fma", "{:?}", small.codelet_dispatch());
+        let small = Plan::forward(1280);
+        assert_eq!(
+            small.dispatch_name(),
+            "avx2+fma",
+            "{:?}",
+            small.codelet_dispatch()
+        );
     }
 
     #[test]
@@ -840,7 +872,7 @@ mod tests {
 
     #[test]
     fn planner_raw_cache_shared_across_composite_plans() {
-        let planner: Planner<f64> = Planner::new();
+        let planner = Planner::new();
         // 65536 = 256×256: one raw engine serves both four-step rows.
         let _ = planner.plan(65536, Direction::Forward);
         assert_eq!(planner.cached_raw_engines(), 1);
@@ -857,7 +889,7 @@ mod tests {
 
     #[test]
     fn plan_cache_is_bounded_lru_with_counters() {
-        let planner: Planner<f64> = Planner::with_capacity(2);
+        let planner = Planner::with_capacity(2);
         assert_eq!(planner.plan_capacity(), 2);
         let first16 = planner.plan(16, Direction::Forward);
         let first32 = planner.plan(32, Direction::Forward);
@@ -883,7 +915,7 @@ mod tests {
         // Capacity 1 ⇒ raw cap 2: planning 65536 (one shared 256 row
         // engine) then 131072 (256 + 512) must stay within bounds and
         // keep every already-built plan executable.
-        let planner: Planner<f64> = Planner::with_capacity(1);
+        let planner = Planner::with_capacity(1);
         let a = planner.plan(65536, Direction::Forward);
         let b = planner.plan(131072, Direction::Forward);
         assert!(planner.cached_plans() <= 1);

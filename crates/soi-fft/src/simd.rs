@@ -43,12 +43,11 @@
 //! bounds instead. The *weighted multiplies* of the fused
 //! projection+demodulation epilogues are the exception: they use the
 //! non-FMA form `addsub(w_re·v, w_im·swap(v))`, which performs exactly
-//! the roundings of the scalar `Complex::mul` in the same order — so
+//! the roundings of the scalar `Complex64::mul` in the same order — so
 //! [`weighted_product`] is bitwise identical to the scalar multiply loop
 //! and the `fused == unfused` bitwise pins hold with SIMD active.
 
-use soi_num::{Complex, Complex64, Real};
-use std::any::TypeId;
+use soi_num::Complex64;
 use std::sync::OnceLock;
 
 /// True when the `SOI_NO_SIMD` ablation knob disables vector dispatch
@@ -76,8 +75,8 @@ pub fn cpu_supported() -> bool {
 }
 
 /// The process-wide dispatch decision: CPU support minus the
-/// `SOI_NO_SIMD` ablation override. Engines consult this (plus the
-/// element type — only `f64` has kernels) at plan-construction time.
+/// `SOI_NO_SIMD` ablation override. Engines consult this (plus their
+/// own shape conditions) at plan-construction time.
 pub fn enabled() -> bool {
     cpu_supported() && !no_simd_env()
 }
@@ -91,44 +90,25 @@ pub fn kernel_name() -> &'static str {
     }
 }
 
-/// True when `T` is `f64` — the only element type with SIMD kernels.
-#[inline]
-pub fn is_c64<T: 'static>() -> bool {
-    TypeId::of::<T>() == TypeId::of::<f64>()
-}
-
-/// Reinterpret a generic complex slice as `Complex64`. Callers must have
-/// checked [`is_c64`]; `Complex<T>` is `#[repr(C)]` so the layouts match.
-#[inline]
-pub(crate) fn c64s<T: 'static>(s: &[Complex<T>]) -> &[Complex64] {
-    debug_assert!(is_c64::<T>());
-    unsafe { core::slice::from_raw_parts(s.as_ptr() as *const Complex64, s.len()) }
-}
-
-/// Mutable variant of [`c64s`].
-#[inline]
-pub(crate) fn c64s_mut<T: 'static>(s: &mut [Complex<T>]) -> &mut [Complex64] {
-    debug_assert!(is_c64::<T>());
-    unsafe { core::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut Complex64, s.len()) }
-}
-
 /// `out[k] = res[k] * w[k]` for `k < out.len()` — the weighted write of
 /// every fused projection+demodulation epilogue and fallback multiply.
 ///
 /// **Bitwise identical** to the scalar loop on every path: the AVX2 body
 /// uses the non-FMA `addsub(w_re·v, w_im·swap(v))` form, whose per-lane
-/// roundings are exactly those of `Complex::mul` (FP addition is
+/// roundings are exactly those of `Complex64::mul` (FP addition is
 /// commutative, so the imaginary lane's swapped operand order changes
 /// nothing). That identity is what lets one helper serve both the fused
 /// engines and the unfused reference paths that tests pin against each
 /// other.
-pub fn weighted_product<T: Real>(out: &mut [Complex<T>], res: &[Complex<T>], w: &[Complex<T>]) {
+pub fn weighted_product(out: &mut [Complex64], res: &[Complex64], w: &[Complex64]) {
     let len = out.len();
     assert!(res.len() >= len && w.len() >= len, "weighted_product operands too short");
     #[cfg(target_arch = "x86_64")]
-    if is_c64::<T>() && enabled() {
+    if enabled() {
+        // SAFETY: `enabled()` implies AVX2+FMA; all three operands hold
+        // `len` elements.
         unsafe {
-            avx2::weighted_product(c64s_mut(out), &c64s(res)[..len], &c64s(w)[..len]);
+            avx2::weighted_product(out, &res[..len], &w[..len]);
         }
         return;
     }
@@ -141,13 +121,15 @@ pub fn weighted_product<T: Real>(out: &mut [Complex<T>], res: &[Complex<T>], w: 
 /// Bluestein's pointwise filter pass and the chirp sweeps. Same exact
 /// (non-FMA) rounding contract as [`weighted_product`]: bitwise
 /// identical to the scalar loop on every path.
-pub fn weighted_product_in<T: Real>(data: &mut [Complex<T>], w: &[Complex<T>]) {
+pub fn weighted_product_in(data: &mut [Complex64], w: &[Complex64]) {
     let len = data.len();
     assert!(w.len() >= len, "weighted_product_in weights too short");
     #[cfg(target_arch = "x86_64")]
-    if is_c64::<T>() && enabled() {
+    if enabled() {
+        // SAFETY: `enabled()` implies AVX2+FMA; both operands hold `len`
+        // elements.
         unsafe {
-            avx2::weighted_product_in(c64s_mut(data), &c64s(w)[..len]);
+            avx2::weighted_product_in(data, &w[..len]);
         }
         return;
     }
@@ -213,7 +195,7 @@ pub mod avx2 {
     }
 
     /// Complex multiply `v·w` with the exact roundings of the scalar
-    /// `Complex::mul`: both products rounded, then addsub. Used by the
+    /// `Complex64::mul`: both products rounded, then addsub. Used by the
     /// fused-epilogue weighted writes so fused == unfused stays bitwise.
     #[inline(always)]
     unsafe fn cmul_exact(v: __m256d, wre: __m256d, wim: __m256d) -> __m256d {
@@ -1155,12 +1137,6 @@ mod tests {
         assert_eq!(kernel_name(), if enabled() { "avx2+fma" } else { "portable" });
         // enabled() can only be a restriction of cpu_supported().
         assert!(!enabled() || cpu_supported());
-    }
-
-    #[test]
-    fn is_c64_discriminates() {
-        assert!(is_c64::<f64>());
-        assert!(!is_c64::<f32>());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::codelet::{self, Codelet, Dispatch};
 use crate::simd;
 use crate::twiddle::{Sign, StageTwiddles};
-use soi_num::{AlignedBuf, Complex, Real};
+use soi_num::{AlignedBuf, Complex64};
 
 /// Split/dup twiddle streams for the SIMD first stage (`s == 1`,
 /// radix 8), where the twiddle varies along the vectorized `p` axis:
@@ -31,14 +31,14 @@ struct StockhamSimd {
 
 /// A prepared power-of-two Stockham transform.
 #[derive(Debug, Clone)]
-pub struct StockhamFft<T> {
+pub struct StockhamFft {
     n: usize,
     sign: Sign,
-    stages: Vec<StageTwiddles<T>>,
+    stages: Vec<StageTwiddles>,
     simd: Option<StockhamSimd>,
 }
 
-impl<T: Real> StockhamFft<T> {
+impl StockhamFft {
     /// Plan a transform of power-of-two size `n`, with SIMD dispatch
     /// decided by [`simd::enabled`] (CPU features minus `SOI_NO_SIMD`).
     ///
@@ -49,10 +49,10 @@ impl<T: Real> StockhamFft<T> {
     }
 
     /// Plan with an explicit SIMD request. `want` is intersected with
-    /// what the host supports (AVX2+FMA, `f64` elements, `n ≥ 16` so the
-    /// first stage is a full radix-8 pass); it deliberately ignores the
-    /// `SOI_NO_SIMD` env so property tests can pit both paths against
-    /// each other in one process.
+    /// what the host supports (AVX2+FMA, `n ≥ 16` so the first stage is
+    /// a full radix-8 pass); it deliberately ignores the `SOI_NO_SIMD`
+    /// env so property tests can pit both paths against each other in
+    /// one process.
     pub fn with_simd(n: usize, sign: Sign, want: bool) -> Self {
         assert!(n.is_power_of_two() && n > 0, "Stockham requires a power of two, got {n}");
         let mut radices = Vec::new();
@@ -80,7 +80,7 @@ impl<T: Real> StockhamFft<T> {
     /// path. Stockham's streaming structure beats the mixed-radix
     /// recursion by ~2–3× at these sizes, which is the whole point.
     pub(crate) fn for_smooth(n: usize, sign: Sign, want: bool) -> Option<Self> {
-        if !(want && simd::cpu_supported() && simd::is_c64::<T>()) {
+        if !(want && simd::cpu_supported()) {
             return None;
         }
         let mut pow2 = n;
@@ -114,11 +114,10 @@ impl<T: Real> StockhamFft<T> {
 
     /// Shared constructor: build the stage tables for an explicit radix
     /// schedule and decide SIMD dispatch. `want` is intersected with what
-    /// the host supports (AVX2+FMA, `f64` elements, a leading radix-8
-    /// stage with even `m` so the vector kernels cover every stage with
-    /// no tails); it deliberately ignores the `SOI_NO_SIMD` env so
-    /// property tests can pit both paths against each other in one
-    /// process.
+    /// the host supports (AVX2+FMA, a leading radix-8 stage with even
+    /// `m` so the vector kernels cover every stage with no tails); it
+    /// deliberately ignores the `SOI_NO_SIMD` env so property tests can
+    /// pit both paths against each other in one process.
     fn from_radices(n: usize, sign: Sign, radices: &[usize], want: bool) -> Self {
         let mut stages = Vec::new();
         let mut cur = n;
@@ -129,19 +128,17 @@ impl<T: Real> StockhamFft<T> {
         debug_assert_eq!(cur, 1, "radix schedule must exhaust n");
         let simd_ok = want
             && simd::cpu_supported()
-            && simd::is_c64::<T>()
             && stages.first().map_or(false, |st| st.radix == 8 && st.m % 2 == 0);
         let simd = if simd_ok {
             let st0 = &stages[0];
             let m = st0.m;
-            let tw = simd::c64s(&st0.tw);
             // Aligned streams: the kernel reads these 4 f64 (32 bytes)
             // at a time, and a mmap-served Vec would straddle lines.
             let mut first_re = AlignedBuf::<f64>::zeroed(7 * 2 * m);
             let mut first_im = AlignedBuf::<f64>::zeroed(7 * 2 * m);
             for c in 0..7 {
                 for p in 0..m {
-                    let w = tw[p * 7 + c];
+                    let w = st0.tw[p * 7 + c];
                     first_re[c * 2 * m + 2 * p] = w.re;
                     first_re[c * 2 * m + 2 * p + 1] = w.re;
                     first_im[c * 2 * m + 2 * p] = w.im;
@@ -215,7 +212,7 @@ impl<T: Real> StockhamFft<T> {
     ///
     /// The result always ends up back in `data`; `scratch` contents are
     /// clobbered.
-    pub fn execute_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+    pub fn execute_with_scratch(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         if self.run_stages(data, scratch) {
             return;
         }
@@ -224,7 +221,7 @@ impl<T: Real> StockhamFft<T> {
 
     /// Run every stage; returns `true` when the live result ended up in
     /// `data`, `false` when it is in `scratch` (odd stage count).
-    fn run_stages(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) -> bool {
+    fn run_stages(&self, data: &mut [Complex64], scratch: &mut [Complex64]) -> bool {
         assert_eq!(data.len(), self.n, "data length mismatch");
         assert_eq!(scratch.len(), self.n, "scratch length mismatch");
         if self.n == 1 {
@@ -246,14 +243,12 @@ impl<T: Real> StockhamFft<T> {
 
     /// Run stage `i` (stream count `s`) from `src` into `dst`, routed to
     /// the AVX2+FMA kernel when the constructor built the streams (so
-    /// `T = f64`, AVX2+FMA present, leading radix-8 stage with even `m`).
-    fn stage_into(&self, i: usize, s: usize, src: &[Complex<T>], dst: &mut [Complex<T>]) {
+    /// AVX2+FMA is present and the leading radix-8 stage has even `m`).
+    fn stage_into(&self, i: usize, s: usize, src: &[Complex64], dst: &mut [Complex64]) {
         let st = &self.stages[i];
         #[cfg(target_arch = "x86_64")]
         if let Some(sd) = &self.simd {
-            let src = simd::c64s(src);
-            let dst = simd::c64s_mut(dst);
-            let tw = simd::c64s(&st.tw);
+            let tw = &st.tw;
             let forward = self.sign == Sign::Forward;
             let (c1, c2, s1, s2) = sd.r5;
             // Safety: constructor checked AVX2+FMA; stage geometry (even
@@ -293,9 +288,9 @@ impl<T: Real> StockhamFft<T> {
     /// buffer instead of copying them there afterwards.
     pub fn process_with_scratch(
         &self,
-        src: &[Complex<T>],
-        dst: &mut [Complex<T>],
-        scratch: &mut [Complex<T>],
+        src: &[Complex64],
+        dst: &mut [Complex64],
+        scratch: &mut [Complex64],
     ) {
         assert_eq!(src.len(), self.n, "src length mismatch");
         assert_eq!(dst.len(), self.n, "dst length mismatch");
@@ -334,15 +329,15 @@ impl<T: Real> StockhamFft<T> {
     /// the unfused one.
     pub fn execute_fused_into(
         &self,
-        data: &mut [Complex<T>],
-        scratch: &mut [Complex<T>],
-        out: &mut [Complex<T>],
-        weights: &[Complex<T>],
+        data: &mut [Complex64],
+        scratch: &mut [Complex64],
+        out: &mut [Complex64],
+        weights: &[Complex64],
     ) {
         assert!(out.len() <= self.n, "fused output longer than transform");
         assert!(weights.len() >= out.len(), "fused weights too short");
         let res_in_data = self.run_stages(data, scratch);
-        let res: &[Complex<T>] = if res_in_data { data } else { scratch };
+        let res: &[Complex64] = if res_in_data { data } else { scratch };
         // Bitwise identical to the scalar multiply loop on every path
         // (see `simd::weighted_product`), preserving the fused==unfused
         // bitwise contract with SIMD active.
@@ -350,7 +345,7 @@ impl<T: Real> StockhamFft<T> {
     }
 
     /// Execute in place, allocating scratch internally.
-    pub fn execute(&self, data: &mut [Complex<T>]) {
+    pub fn execute(&self, data: &mut [Complex64]) {
         let mut scratch = AlignedBuf::zeroed(self.n);
         self.execute_with_scratch(data, &mut scratch);
     }
@@ -358,12 +353,7 @@ impl<T: Real> StockhamFft<T> {
 
 /// One radix-2 DIF Stockham stage: `n_cur = 2m` logical points in `s`
 /// interleaved streams.
-fn stage_radix2<T: Real>(
-    x: &[Complex<T>],
-    y: &mut [Complex<T>],
-    st: &StageTwiddles<T>,
-    s: usize,
-) {
+fn stage_radix2(x: &[Complex64], y: &mut [Complex64], st: &StageTwiddles, s: usize) {
     let m = st.m;
     for p in 0..m {
         let wp = st.tw[p];
@@ -380,13 +370,7 @@ fn stage_radix2<T: Real>(
 }
 
 /// One radix-4 DIF Stockham stage.
-fn stage_radix4<T: Real>(
-    x: &[Complex<T>],
-    y: &mut [Complex<T>],
-    st: &StageTwiddles<T>,
-    s: usize,
-    sign: Sign,
-) {
+fn stage_radix4(x: &[Complex64], y: &mut [Complex64], st: &StageTwiddles, s: usize, sign: Sign) {
     let m = st.m;
     let forward = sign == Sign::Forward;
     for p in 0..m {
@@ -418,13 +402,7 @@ fn stage_radix4<T: Real>(
 
 /// One radix-5 DIF Stockham stage (smooth-ladder closer; mirrors the
 /// real-symmetric half-complexity factorization of `stockham_q5`).
-fn stage_radix5<T: Real>(
-    x: &[Complex<T>],
-    y: &mut [Complex<T>],
-    st: &StageTwiddles<T>,
-    s: usize,
-    sign: Sign,
-) {
+fn stage_radix5(x: &[Complex64], y: &mut [Complex64], st: &StageTwiddles, s: usize, sign: Sign) {
     let m = st.m;
     let w1 = sign.root(1, 5);
     let w2 = sign.root(2, 5);
@@ -461,20 +439,14 @@ fn stage_radix5<T: Real>(
 /// rotated by the fixed eighth roots `ω_8^t` (costing only two √2/2
 /// scalings and two axis flips) and feed a second radix-4 butterfly for
 /// the odd outputs.
-fn stage_radix8<T: Real>(
-    x: &[Complex<T>],
-    y: &mut [Complex<T>],
-    st: &StageTwiddles<T>,
-    s: usize,
-    sign: Sign,
-) {
+fn stage_radix8(x: &[Complex64], y: &mut [Complex64], st: &StageTwiddles, s: usize, sign: Sign) {
     let m = st.m;
     let forward = sign == Sign::Forward;
     // 1/√2 = cos(π/4): the real (and |imag|) part of ω_8.
-    let r = T::HALF.sqrt();
+    let r = 0.5f64.sqrt();
     // Four-point DIF butterfly shared by the even and odd halves;
     // mirrors stage_radix4's arithmetic exactly.
-    let dft4 = |a: Complex<T>, b: Complex<T>, c: Complex<T>, d: Complex<T>| {
+    let dft4 = |a: Complex64, b: Complex64, c: Complex64, d: Complex64| {
         let apc = a + c;
         let amc = a - c;
         let bpd = b + d;
@@ -596,23 +568,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_pow2() {
-        let _ = StockhamFft::<f64>::new(12, Sign::Forward);
-    }
-
-    #[test]
-    fn f32_transform_works() {
-        let n = 64;
-        let x: Vec<Complex<f32>> = (0..n)
-            .map(|i| Complex::new((i as f32 * 0.7).sin(), (i as f32 * 1.3).cos()))
-            .collect();
-        let x64: Vec<Complex64> = x.iter().map(|c| c.to_c64()).collect();
-        let want = dft_naive(&x64);
-        let plan = StockhamFft::<f32>::new(n, Sign::Forward);
-        let mut got = x;
-        plan.execute(&mut got);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.to_c64() - *w).abs() < 1e-3);
-        }
+        let _ = StockhamFft::new(12, Sign::Forward);
     }
 
     #[test]
@@ -620,25 +576,25 @@ mod tests {
         use crate::codelet::Codelet;
         // 512 = 8³: pure radix-8 ladder.
         assert_eq!(
-            StockhamFft::<f64>::new(512, Sign::Forward).codelets(),
+            StockhamFft::new(512, Sign::Forward).codelets(),
             vec![Codelet::Radix8]
         );
         // 256 = 8·8·4 and 1024 = 8·8·8·2: radix-8 stages plus one closer.
         assert_eq!(
-            StockhamFft::<f64>::new(256, Sign::Forward).codelets(),
+            StockhamFft::new(256, Sign::Forward).codelets(),
             vec![Codelet::Radix4, Codelet::Radix8]
         );
         assert_eq!(
-            StockhamFft::<f64>::new(1024, Sign::Forward).codelets(),
+            StockhamFft::new(1024, Sign::Forward).codelets(),
             vec![Codelet::Radix2, Codelet::Radix8]
         );
         // Tiny sizes that never fit a radix-8 stage.
         assert_eq!(
-            StockhamFft::<f64>::new(4, Sign::Forward).codelets(),
+            StockhamFft::new(4, Sign::Forward).codelets(),
             vec![Codelet::Radix4]
         );
         assert_eq!(
-            StockhamFft::<f64>::new(2, Sign::Forward).codelets(),
+            StockhamFft::new(2, Sign::Forward).codelets(),
             vec![Codelet::Radix2]
         );
     }
@@ -706,12 +662,12 @@ mod tests {
     #[test]
     fn smooth_ladder_matches_naive_dft() {
         if !simd::cpu_supported() {
-            assert!(StockhamFft::<f64>::for_smooth(80, Sign::Forward, true).is_none());
+            assert!(StockhamFft::for_smooth(80, Sign::Forward, true).is_none());
             return;
         }
         for n in [80usize, 400, 640, 1280, 2560] {
             for sign in [Sign::Forward, Sign::Inverse] {
-                let plan = StockhamFft::<f64>::for_smooth(n, sign, true)
+                let plan = StockhamFft::for_smooth(n, sign, true)
                     .unwrap_or_else(|| panic!("no ladder for {n}"));
                 let x = test_signal(n);
                 let want = dft_naive_signed(&x, sign);
@@ -736,7 +692,7 @@ mod tests {
         // No factor of 5, not 16-divisible, or a non-5-smooth cofactor.
         for n in [64usize, 20, 40, 280, 48] {
             assert!(
-                StockhamFft::<f64>::for_smooth(n, Sign::Forward, true).is_none(),
+                StockhamFft::for_smooth(n, Sign::Forward, true).is_none(),
                 "n={n} should have no ladder"
             );
         }
@@ -747,7 +703,7 @@ mod tests {
         if !simd::cpu_supported() {
             return;
         }
-        let plan = StockhamFft::<f64>::for_smooth(1280, Sign::Forward, true).unwrap();
+        let plan = StockhamFft::for_smooth(1280, Sign::Forward, true).unwrap();
         let cs = plan.codelets();
         assert!(cs.contains(&Codelet::Radix5), "{cs:?}");
         assert!(cs.iter().all(|c| !c.is_generic()), "{cs:?}");

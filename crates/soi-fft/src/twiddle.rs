@@ -6,7 +6,7 @@
 //! per-element `sin_cos` so no error accumulates across the table (no
 //! repeated multiplication recurrences).
 
-use soi_num::{Complex, Real};
+use soi_num::Complex64;
 
 /// Transform direction. Determines the sign of the twiddle exponent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,8 +20,8 @@ pub enum Sign {
 impl Sign {
     /// The twiddle `exp(∓2πi·k/n)` for this direction.
     #[inline]
-    pub fn root<T: Real>(self, k: usize, n: usize) -> Complex<T> {
-        let w = Complex::root_of_unity(k, n);
+    pub fn root(self, k: usize, n: usize) -> Complex64 {
+        let w = Complex64::root_of_unity(k, n);
         match self {
             Sign::Forward => w,
             Sign::Inverse => w.conj(),
@@ -40,16 +40,16 @@ impl Sign {
 
 /// A dense table of the first `len` powers of `exp(∓2πi/n)`.
 #[derive(Debug, Clone)]
-pub struct TwiddleTable<T> {
+pub struct TwiddleTable {
     /// `w[k] = exp(∓2πi·k/n)` for `k < len`.
-    pub w: Vec<Complex<T>>,
+    pub w: Vec<Complex64>,
     /// The order `n` of the root.
     pub n: usize,
     /// Direction the table was built for.
     pub sign: Sign,
 }
 
-impl<T: Real> TwiddleTable<T> {
+impl TwiddleTable {
     /// Build a table of `len` twiddles of order `n`.
     pub fn new(n: usize, len: usize, sign: Sign) -> Self {
         assert!(n > 0, "twiddle order must be positive");
@@ -60,7 +60,7 @@ impl<T: Real> TwiddleTable<T> {
     /// `exp(∓2πi·k/n)` for arbitrary `k` (reduced modulo `n`, falling back
     /// to direct evaluation if the reduced index is outside the table).
     #[inline]
-    pub fn get(&self, k: usize) -> Complex<T> {
+    pub fn get(&self, k: usize) -> Complex64 {
         let k = k % self.n;
         if k < self.w.len() {
             self.w[k]
@@ -74,16 +74,16 @@ impl<T: Real> TwiddleTable<T> {
 /// decimation-in-frequency pass over size `n` needs `ω_n^{p·c}` for
 /// `p < n/r`, `c < r`.
 #[derive(Debug, Clone)]
-pub struct StageTwiddles<T> {
+pub struct StageTwiddles {
     /// `tw[p*(r-1) + (c-1)] = ω_n^{p·c}` for `c in 1..r`.
-    pub tw: Vec<Complex<T>>,
+    pub tw: Vec<Complex64>,
     /// Sub-transform count for this stage (`n/r`).
     pub m: usize,
     /// Radix of the stage.
     pub radix: usize,
 }
 
-impl<T: Real> StageTwiddles<T> {
+impl StageTwiddles {
     /// Build the twiddles for one DIF stage of size `n`, radix `r`.
     pub fn new(n: usize, r: usize, sign: Sign) -> Self {
         assert!(n % r == 0, "stage size {n} not divisible by radix {r}");
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn forward_table_matches_direct_roots() {
-        let t: TwiddleTable<f64> = TwiddleTable::new(16, 16, Sign::Forward);
+        let t = TwiddleTable::new(16, 16, Sign::Forward);
         for k in 0..16 {
             let want = Complex64::root_of_unity(k, 16);
             assert!((t.get(k) - want).abs() < 1e-15);
@@ -114,8 +114,8 @@ mod tests {
 
     #[test]
     fn inverse_is_conjugate_of_forward() {
-        let f: TwiddleTable<f64> = TwiddleTable::new(12, 12, Sign::Forward);
-        let i: TwiddleTable<f64> = TwiddleTable::new(12, 12, Sign::Inverse);
+        let f = TwiddleTable::new(12, 12, Sign::Forward);
+        let i = TwiddleTable::new(12, 12, Sign::Inverse);
         for k in 0..12 {
             assert!((f.get(k).conj() - i.get(k)).abs() < 1e-15);
         }
@@ -123,27 +123,27 @@ mod tests {
 
     #[test]
     fn get_reduces_modulo_n() {
-        let t: TwiddleTable<f64> = TwiddleTable::new(8, 8, Sign::Forward);
+        let t = TwiddleTable::new(8, 8, Sign::Forward);
         assert!((t.get(3) - t.get(3 + 8 * 5)).abs() < 1e-15);
     }
 
     #[test]
     fn get_beyond_table_length_falls_back() {
-        let t: TwiddleTable<f64> = TwiddleTable::new(64, 4, Sign::Forward);
+        let t = TwiddleTable::new(64, 4, Sign::Forward);
         let want = Complex64::root_of_unity(17, 64);
         assert!((t.get(17) - want).abs() < 1e-15);
     }
 
     #[test]
     fn stage_twiddles_layout() {
-        let s: StageTwiddles<f64> = StageTwiddles::new(8, 2, Sign::Forward);
+        let s = StageTwiddles::new(8, 2, Sign::Forward);
         assert_eq!(s.m, 4);
         assert_eq!(s.tw.len(), 4);
         for p in 0..4 {
             let want = Complex64::root_of_unity(p, 8);
             assert!((s.tw[p] - want).abs() < 1e-15);
         }
-        let s4: StageTwiddles<f64> = StageTwiddles::new(16, 4, Sign::Forward);
+        let s4 = StageTwiddles::new(16, 4, Sign::Forward);
         assert_eq!(s4.m, 4);
         assert_eq!(s4.tw.len(), 12);
         // Entry (p=2, c=3) sits at 2*3 + 2 and equals ω_16^6.

@@ -8,14 +8,14 @@
 
 use soi_fft::batch::BatchFft;
 use soi_fft::Direction;
-use soi_num::{Complex, Complex64, Real};
+use soi_num::Complex64;
 use soi_pool::ThreadPool;
 use soi_testkit::TestRng;
 
 /// `batch` over `data` on a pool of `workers`, with a fresh arena.
-fn pooled<T: Real>(batch: &BatchFft<T>, data: &mut [Complex<T>], workers: usize) {
+fn pooled(batch: &BatchFft, data: &mut [Complex64], workers: usize) {
     let rows = data.len() / batch.row_len();
-    let mut scratch = vec![Complex::<T>::default(); workers.min(rows) * batch.scratch_len()];
+    let mut scratch = vec![Complex64::ZERO; workers.min(rows) * batch.scratch_len()];
     batch.execute_pooled(data, &ThreadPool::new(workers), &mut scratch);
 }
 
@@ -59,30 +59,4 @@ fn thread_split_is_bitwise_invisible_inverse() {
         pooled(&batch, &mut buf, workers);
         assert_eq!(bits(&buf), bits(&reference), "workers={workers}");
     }
-}
-
-#[test]
-fn f32_batch_is_also_scheduling_independent() {
-    // The executor is generic over the real type; check the f32 path too.
-    let (rows, m) = (16usize, 32usize);
-    let mut rng = TestRng::seed_from_u64(99);
-    let data: Vec<soi_num::Complex<f32>> = (0..rows * m)
-        .map(|_| {
-            soi_num::Complex::new(
-                rng.f64_in(-1.0..1.0) as f32,
-                rng.f64_in(-1.0..1.0) as f32,
-            )
-        })
-        .collect();
-    let batch = BatchFft::<f32>::new(m, Direction::Forward);
-    let mut serial = data.clone();
-    batch.execute(&mut serial);
-    let mut threaded = data;
-    pooled(&batch, &mut threaded, 4);
-    let as_bits = |v: &[soi_num::Complex<f32>]| {
-        v.iter()
-            .map(|c| (c.re.to_f64().to_bits(), c.im.to_f64().to_bits()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(as_bits(&serial), as_bits(&threaded));
 }

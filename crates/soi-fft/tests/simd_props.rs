@@ -146,9 +146,9 @@ fn every_dispatched_engine_is_bitwise_reproducible_run_to_run() {
     let sizes: &[usize] = &[256, 320, 1280, 40960, 65536, 163840, 997];
     for &n in sizes {
         let x = signal(&mut rng, n);
-        let planner: Planner<f64> = Planner::new();
+        let planner = Planner::new();
         let plan = planner.forward(n);
-        let again = Plan::<f64>::forward(n);
+        let again = Plan::forward(n);
         let mut runs: Vec<Vec<Complex64>> = Vec::new();
         for p in [&*plan, &again, &*plan] {
             let mut d = x.clone();
@@ -170,8 +170,8 @@ fn raw_engines_bitwise_reproducible_including_simd_streams() {
     for &n in &[64usize, 320, 2048, 40960] {
         for sign in [Sign::Forward, Sign::Inverse] {
             let x = signal(&mut rng, n);
-            let e1 = RawFft::<f64>::new(n, sign);
-            let e2 = RawFft::<f64>::new(n, sign);
+            let e1 = RawFft::new(n, sign);
+            let e2 = RawFft::new(n, sign);
             let mut a = x.clone();
             e1.execute(&mut a);
             let mut b = x.clone();
@@ -193,19 +193,19 @@ fn dispatch_report_matches_simd_request() {
     // with_simd(true) on capable hardware reports Avx2Fma stages;
     // with_simd(false) always reports all-Portable.
     use soi_fft::codelet::Dispatch;
-    let portable = StockhamFft::<f64>::with_simd(1024, Sign::Forward, false);
+    let portable = StockhamFft::with_simd(1024, Sign::Forward, false);
     assert!(portable
         .codelet_dispatch()
         .iter()
         .all(|&(_, d)| d == Dispatch::Portable));
-    let maybe_simd = StockhamFft::<f64>::with_simd(1024, Sign::Forward, true);
+    let maybe_simd = StockhamFft::with_simd(1024, Sign::Forward, true);
     let expect_simd = soi_fft::simd::cpu_supported();
     assert!(maybe_simd
         .codelet_dispatch()
         .iter()
         .all(|&(_, d)| d.is_simd() == expect_simd));
     // Mixed: a radix-7 level stays portable even under SIMD dispatch.
-    let m = MixedRadixFft::<f64>::with_simd(280, Sign::Forward, true);
+    let m = MixedRadixFft::with_simd(280, Sign::Forward, true);
     let cd = m.codelet_dispatch();
     assert!(
         cd.iter()

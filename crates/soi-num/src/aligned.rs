@@ -32,7 +32,7 @@ struct Line([u8; 64]);
 /// Construction fills every element (no uninitialized reads), and the
 /// `T: Copy` constructor bound means dropping the raw storage never
 /// skips a destructor. (The bound sits on the constructors, not the
-/// struct, so generic holders like `FourStepFft<T>` need no extra
+/// struct, so generic holders of an `AlignedBuf<T>` need no extra
 /// bounds on their own definitions.)
 pub struct AlignedBuf<T> {
     storage: Vec<Line>,
@@ -65,7 +65,7 @@ impl<T: Copy> AlignedBuf<T> {
         }
     }
 
-    /// A buffer of `len` default elements (`Complex::ZERO` for complex).
+    /// A buffer of `len` default elements (`Complex64::ZERO` for complex).
     pub fn zeroed(len: usize) -> Self
     where
         T: Default,

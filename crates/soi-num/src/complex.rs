@@ -1,68 +1,49 @@
 //! Minimal complex arithmetic.
 //!
-//! `Complex<T>` is `#[repr(C)]` with interleaved `(re, im)` layout — the
+//! `Complex64` is `#[repr(C)]` with interleaved `(re, im)` layout — the
 //! layout every FFT kernel in this workspace assumes, and the same layout
 //! as C99 `complex`, FFTW, and MKL, so buffers could be shared with foreign
 //! code.
 
-use crate::real::Real;
+use core::f64::consts::PI;
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A complex number with interleaved real/imaginary parts.
+/// A double-precision complex number with interleaved real/imaginary
+/// parts.
 #[derive(Copy, Clone, PartialEq, Default)]
 #[repr(C)]
-pub struct Complex<T> {
+pub struct Complex64 {
     /// Real part.
-    pub re: T,
+    pub re: f64,
     /// Imaginary part.
-    pub im: T,
+    pub im: f64,
 }
-
-/// Single-precision complex.
-pub type Complex32 = Complex<f32>;
-/// Double-precision complex.
-pub type Complex64 = Complex<f64>;
 
 /// Shorthand constructor for [`Complex64`].
 #[inline(always)]
 pub const fn c64(re: f64, im: f64) -> Complex64 {
-    Complex { re, im }
+    Complex64 { re, im }
 }
 
-/// Shorthand constructor for [`Complex32`].
-#[inline(always)]
-pub const fn c32(re: f32, im: f32) -> Complex32 {
-    Complex { re, im }
-}
-
-impl<T: Real> Complex<T> {
+impl Complex64 {
     /// Zero.
-    pub const ZERO: Self = Self {
-        re: T::ZERO,
-        im: T::ZERO,
-    };
+    pub const ZERO: Self = Self { re: 0.0, im: 0.0 };
     /// One.
-    pub const ONE: Self = Self {
-        re: T::ONE,
-        im: T::ZERO,
-    };
+    pub const ONE: Self = Self { re: 1.0, im: 0.0 };
     /// The imaginary unit.
-    pub const I: Self = Self {
-        re: T::ZERO,
-        im: T::ONE,
-    };
+    pub const I: Self = Self { re: 0.0, im: 1.0 };
 
     /// Construct from parts.
     #[inline(always)]
-    pub fn new(re: T, im: T) -> Self {
+    pub fn new(re: f64, im: f64) -> Self {
         Self { re, im }
     }
 
     /// `exp(i·theta) = cos(theta) + i·sin(theta)`.
     #[inline]
-    pub fn cis(theta: T) -> Self {
+    pub fn cis(theta: f64) -> Self {
         let (s, c) = theta.sin_cos();
         Self { re: c, im: s }
     }
@@ -75,7 +56,7 @@ impl<T: Real> Complex<T> {
     pub fn root_of_unity(k: usize, n: usize) -> Self {
         // Reduce k mod n first so the angle stays small and accurate.
         let k = k % n;
-        let theta = -T::TWO * T::PI * T::from_usize(k) / T::from_usize(n);
+        let theta = -2.0 * PI * (k as f64) / (n as f64);
         Self::cis(theta)
     }
 
@@ -90,13 +71,13 @@ impl<T: Real> Complex<T> {
 
     /// Squared magnitude `re² + im²`.
     #[inline(always)]
-    pub fn norm_sqr(self) -> T {
+    pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// Magnitude.
     #[inline(always)]
-    pub fn abs(self) -> T {
+    pub fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
     }
 
@@ -120,7 +101,7 @@ impl<T: Real> Complex<T> {
 
     /// Scale by a real factor.
     #[inline(always)]
-    pub fn scale(self, k: T) -> Self {
+    pub fn scale(self, k: f64) -> Self {
         Self {
             re: self.re * k,
             im: self.im * k,
@@ -152,24 +133,6 @@ impl<T: Real> Complex<T> {
         }
     }
 
-    /// Lossless widening of both parts to `f64`.
-    #[inline]
-    pub fn to_c64(self) -> Complex64 {
-        Complex {
-            re: self.re.to_f64(),
-            im: self.im.to_f64(),
-        }
-    }
-
-    /// Narrowing from `f64` parts.
-    #[inline]
-    pub fn from_c64(v: Complex64) -> Self {
-        Complex {
-            re: T::from_f64(v.re),
-            im: T::from_f64(v.im),
-        }
-    }
-
     /// True if both parts are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -177,7 +140,7 @@ impl<T: Real> Complex<T> {
     }
 }
 
-impl<T: Real> Add for Complex<T> {
+impl Add for Complex64 {
     type Output = Self;
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
@@ -188,7 +151,7 @@ impl<T: Real> Add for Complex<T> {
     }
 }
 
-impl<T: Real> Sub for Complex<T> {
+impl Sub for Complex64 {
     type Output = Self;
     #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
@@ -199,7 +162,7 @@ impl<T: Real> Sub for Complex<T> {
     }
 }
 
-impl<T: Real> Mul for Complex<T> {
+impl Mul for Complex64 {
     type Output = Self;
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
@@ -210,7 +173,7 @@ impl<T: Real> Mul for Complex<T> {
     }
 }
 
-impl<T: Real> Div for Complex<T> {
+impl Div for Complex64 {
     type Output = Self;
     #[inline]
     fn div(self, rhs: Self) -> Self {
@@ -218,7 +181,7 @@ impl<T: Real> Div for Complex<T> {
     }
 }
 
-impl<T: Real> Neg for Complex<T> {
+impl Neg for Complex64 {
     type Output = Self;
     #[inline(always)]
     fn neg(self) -> Self {
@@ -229,18 +192,18 @@ impl<T: Real> Neg for Complex<T> {
     }
 }
 
-impl<T: Real> Mul<T> for Complex<T> {
+impl Mul<f64> for Complex64 {
     type Output = Self;
     #[inline(always)]
-    fn mul(self, rhs: T) -> Self {
+    fn mul(self, rhs: f64) -> Self {
         self.scale(rhs)
     }
 }
 
-impl<T: Real> Div<T> for Complex<T> {
+impl Div<f64> for Complex64 {
     type Output = Self;
     #[inline(always)]
-    fn div(self, rhs: T) -> Self {
+    fn div(self, rhs: f64) -> Self {
         Self {
             re: self.re / rhs,
             im: self.im / rhs,
@@ -248,76 +211,76 @@ impl<T: Real> Div<T> for Complex<T> {
     }
 }
 
-impl<T: Real> AddAssign for Complex<T> {
+impl AddAssign for Complex64 {
     #[inline(always)]
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
     }
 }
 
-impl<T: Real> SubAssign for Complex<T> {
+impl SubAssign for Complex64 {
     #[inline(always)]
     fn sub_assign(&mut self, rhs: Self) {
         *self = *self - rhs;
     }
 }
 
-impl<T: Real> MulAssign for Complex<T> {
+impl MulAssign for Complex64 {
     #[inline(always)]
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
 }
 
-impl<T: Real> DivAssign for Complex<T> {
+impl DivAssign for Complex64 {
     #[inline(always)]
     fn div_assign(&mut self, rhs: Self) {
         *self = *self / rhs;
     }
 }
 
-impl<T: Real> Sum for Complex<T> {
+impl Sum for Complex64 {
     fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
         iter.fold(Self::ZERO, |a, b| a + b)
     }
 }
 
-impl<T: Real> From<T> for Complex<T> {
+impl From<f64> for Complex64 {
     #[inline]
-    fn from(re: T) -> Self {
-        Self { re, im: T::ZERO }
+    fn from(re: f64) -> Self {
+        Self { re, im: 0.0 }
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for Complex<T> {
+impl fmt::Debug for Complex64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({:?}{:+?}i)", self.re, self.im)
     }
 }
 
-impl<T: fmt::Display + Real> fmt::Display for Complex<T> {
+impl fmt::Display for Complex64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}{:+}i)", self.re, self.im.to_f64())
+        write!(f, "({}{:+}i)", self.re, self.im)
     }
 }
 
 /// Maximum elementwise absolute difference between two complex slices.
-pub fn max_abs_diff<T: Real>(a: &[Complex<T>], b: &[Complex<T>]) -> f64 {
+pub fn max_abs_diff(a: &[Complex64], b: &[Complex64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter()
         .zip(b)
-        .map(|(&x, &y)| (x - y).abs().to_f64())
+        .map(|(&x, &y)| (x - y).abs())
         .fold(0.0, f64::max)
 }
 
 /// Relative L2 error `‖a − b‖₂ / ‖b‖₂` (b is the reference).
-pub fn rel_l2_error<T: Real>(a: &[Complex<T>], b: &[Complex<T>]) -> f64 {
+pub fn rel_l2_error(a: &[Complex64], b: &[Complex64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     let mut num = 0.0f64;
     let mut den = 0.0f64;
     for (&x, &y) in a.iter().zip(b) {
-        num += (x - y).norm_sqr().to_f64();
-        den += y.norm_sqr().to_f64();
+        num += (x - y).norm_sqr();
+        den += y.norm_sqr();
     }
     if den == 0.0 {
         num.sqrt()
@@ -396,13 +359,5 @@ mod tests {
         let c = [c64(1.0, 0.0), c64(0.0, 2.0)];
         assert!(max_abs_diff(&a, &c) == 1.0);
         assert!(rel_l2_error(&c, &a) > 0.0);
-    }
-
-    #[test]
-    fn f32_roundtrip() {
-        let a = c32(1.5, -2.5);
-        let w = a.to_c64();
-        assert_eq!(w, c64(1.5, -2.5));
-        assert_eq!(Complex32::from_c64(w), a);
     }
 }

@@ -6,8 +6,7 @@
 //! accuracy-critical accumulations (naive DFTs, SNR computations,
 //! quadrature) use Neumaier's improved Kahan summation.
 
-use crate::complex::Complex;
-use crate::real::Real;
+use crate::complex::Complex64;
 
 /// A Neumaier (improved Kahan) compensated accumulator for real values.
 #[derive(Debug, Clone, Copy, Default)]
@@ -75,17 +74,17 @@ impl KahanComplexSum {
         Self::default()
     }
 
-    /// Add a complex value (any [`Real`] component type; accumulates in f64).
+    /// Add a complex value.
     #[inline]
-    pub fn add<T: Real>(&mut self, v: Complex<T>) {
-        self.re.add(v.re.to_f64());
-        self.im.add(v.im.to_f64());
+    pub fn add(&mut self, v: Complex64) {
+        self.re.add(v.re);
+        self.im.add(v.im);
     }
 
     /// The compensated total.
     #[inline]
-    pub fn value(&self) -> Complex<f64> {
-        Complex {
+    pub fn value(&self) -> Complex64 {
+        Complex64 {
             re: self.re.value(),
             im: self.im.value(),
         }

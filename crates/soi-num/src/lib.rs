@@ -3,8 +3,11 @@
 //! This crate provides everything numerical the rest of the workspace needs
 //! without pulling in external math crates:
 //!
-//! * [`Complex`] — a minimal, `#[repr(C)]`, cache-friendly complex type
-//!   generic over [`Real`] (`f32`/`f64`).
+//! * [`Complex64`] — a minimal, `#[repr(C)]`, cache-friendly
+//!   double-precision complex type. The paper's SOI FFT is a
+//!   double-precision method, and every accuracy preset asks for more
+//!   than single-precision round-off (~140 dB) can deliver, so `f64` is
+//!   the only element type.
 //! * [`AlignedBuf`] — a 64-byte-aligned owned `[T]` for transform
 //!   buffers; plain `Vec` lands at a 16-byte offset for large
 //!   allocations, which makes half of all 32-byte SIMD loads straddle
@@ -24,12 +27,10 @@ pub mod complex;
 pub mod dd;
 pub mod kahan;
 pub mod quad;
-pub mod real;
 pub mod special;
 pub mod stats;
 
 pub use aligned::AlignedBuf;
-pub use complex::{c32, c64, Complex, Complex32, Complex64};
+pub use complex::{c64, Complex64};
 pub use dd::Dd;
 pub use kahan::KahanSum;
-pub use real::Real;

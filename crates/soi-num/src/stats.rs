@@ -7,9 +7,8 @@
 //!   it; we also convert dB ↔ significant digits the way the paper does
 //!   (20 dB ≈ one digit).
 
-use crate::complex::Complex;
+use crate::complex::Complex64;
 use crate::kahan::KahanSum;
-use crate::real::Real;
 
 /// Online mean/variance accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Copy, Default)]
@@ -132,13 +131,13 @@ fn z_for_level(level: f64) -> f64 {
 /// `10·log10(‖reference‖² / ‖signal − reference‖²)`.
 ///
 /// Returns +∞ for an exact match.
-pub fn snr_db<T: Real>(signal: &[Complex<T>], reference: &[Complex<T>]) -> f64 {
+pub fn snr_db(signal: &[Complex64], reference: &[Complex64]) -> f64 {
     assert_eq!(signal.len(), reference.len(), "length mismatch");
     let mut sig = KahanSum::new();
     let mut noise = KahanSum::new();
     for (&s, &r) in signal.iter().zip(reference) {
-        sig.add(r.norm_sqr().to_f64());
-        noise.add((s - r).norm_sqr().to_f64());
+        sig.add(r.norm_sqr());
+        noise.add((s - r).norm_sqr());
     }
     if noise.value() == 0.0 {
         f64::INFINITY
@@ -149,14 +148,14 @@ pub fn snr_db<T: Real>(signal: &[Complex<T>], reference: &[Complex<T>]) -> f64 {
 
 /// SNR in dB given reference stored as interleaved `(re, im)` f64 pairs
 /// already widened from a higher-precision computation.
-pub fn snr_db_vs_pairs<T: Real>(signal: &[Complex<T>], reference: &[(f64, f64)]) -> f64 {
+pub fn snr_db_vs_pairs(signal: &[Complex64], reference: &[(f64, f64)]) -> f64 {
     assert_eq!(signal.len(), reference.len(), "length mismatch");
     let mut sig = KahanSum::new();
     let mut noise = KahanSum::new();
     for (&s, &(rr, ri)) in signal.iter().zip(reference) {
         sig.add(rr * rr + ri * ri);
-        let dr = s.re.to_f64() - rr;
-        let di = s.im.to_f64() - ri;
+        let dr = s.re - rr;
+        let di = s.im - ri;
         noise.add(dr * dr + di * di);
     }
     if noise.value() == 0.0 {

@@ -125,7 +125,7 @@ impl Registry {
     /// plan-cache numbers come from the process-global
     /// [`soi_fft::Planner`].
     pub fn snapshot(&self, queue_depth: u64) -> StatsSnapshot {
-        let plan = soi_fft::Planner::<f64>::global().plan_cache_stats();
+        let plan = soi_fft::Planner::global().plan_cache_stats();
         let tenants = self
             .tenants
             .lock()

@@ -42,6 +42,28 @@ fi
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> one copy: each soi-fft engine function is compiled once into the release binary"
+# The engines are concrete over Complex64, so each is compiled once, in
+# soi-fft. A type parameter brought back onto one of them would make
+# every calling crate compile its own copy again (nm lists each copy
+# under the same demangled name); closures are set aside.
+if command -v nm >/dev/null 2>&1; then
+    engines='plan::Plan|plan::Planner|batch::BatchFft|stockham::StockhamFft|mixed::MixedRadixFft'
+    engines="$engines|fourstep::FourStepFft|fourstep::RawFft|bluestein::BluesteinFft|simd"
+    dups="$(nm -C target/release/soi \
+        | sed -n 's/^[0-9a-f]* [tTwW] //p' \
+        | grep -E "^soi_fft::($engines)(<[^>]*>)?::" \
+        | grep -v '{{closure}}' \
+        | sort | uniq -d)"
+    if [ -n "$dups" ]; then
+        echo "ERROR: compiled more than once into target/release/soi:" >&2
+        echo "$dups" >&2
+        exit 1
+    fi
+else
+    echo "    skipped: nm not found"
+fi
+
 echo "==> cargo test -q --offline (root package: tier-1)"
 cargo test -q --offline
 

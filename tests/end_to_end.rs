@@ -136,26 +136,6 @@ fn comm_volume_advantage_holds_end_to_end() {
 }
 
 #[test]
-fn pairwise_exchange_variant_end_to_end() {
-    let n = 1 << 12;
-    let p = 4;
-    let x = signal(n);
-    let m = n / p;
-    let plan = BaselineFft::new(n, p, ExchangeVariant::Pairwise);
-    let (xr, pr) = (&x, &plan);
-    let y: Vec<Complex64> = Cluster::new(p, Fabric::gordon_torus())
-        .run_collect(move |comm| {
-            let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            pr.run(comm, local, ChargePolicy::WallClock).expect("baseline run").0
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let exact = soi::fft::fft_forward(&x);
-    assert!(rel_l2_error(&y, &exact) < 1e-11);
-}
-
-#[test]
 fn larger_cluster_and_odd_segment_count() {
     // P = 10: non-power-of-two segment count through mixed-radix F_P.
     let n = 10 * 4000;
