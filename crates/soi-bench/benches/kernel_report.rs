@@ -6,9 +6,12 @@
 //! complex and on real input, the segment/band (zoom) row kernel, and
 //! `erfc`, the special function under the window design and the
 //! demodulation table (ns per call in `ns_per_point`, no flop count).
-//! GFLOPS use the paper's §7.1 nominal conventions from
-//! [`soi_fft::flops`] (`5N·log₂N` per FFT, `8B` real ops per convolution
-//! output point); the peak reference is either `SOI_PEAK_GFLOPS` (set it
+//! FFT GFLOPS use the paper's §7.1 nominal `5N·log₂N` from
+//! [`soi_fft::flops`]. The convolution and zoom rows count the arithmetic
+//! their kernels perform (real taps plus one complex multiply per
+//! output, [`conv_kernel_flops`]), not the paper's nominal `8B` per
+//! output point, which counts complex taps and stays the §7.4 model's
+//! figure. The peak reference is either `SOI_PEAK_GFLOPS` (set it
 //! to the machine's true single-core SIMD FMA peak for honest fractions)
 //! or, by default, a measured scalar-FMA-chain proxy — a lower bound on
 //! peak, so default fractions are *optimistic* and labeled as such via
@@ -22,10 +25,10 @@ use soi_bench::workload::tone_mix;
 use soi_core::coeff::ConvCoefficients;
 use soi_core::conv::{
     convolve, convolve_portable, convolve_real, convolve_real_portable, kernel_name, zoom_pooled,
-    zoom_portable, Sample, ZoomTaps,
+    zoom_portable, ZoomTaps,
 };
 use soi_core::{SoiFft, SoiParams};
-use soi_fft::flops::{conv_flops, fft_flops};
+use soi_fft::flops::fft_flops;
 use soi_fft::Plan;
 use soi_num::special::erfc;
 use soi_num::{AlignedBuf, Complex64};
@@ -191,6 +194,13 @@ fn bench_chirp(g: &mut Bencher, rows: &mut Vec<Row>) {
     });
 }
 
+/// Real flops the convolution kernels perform for `outputs` outputs: one
+/// real multiply-add (2 flops) per tap and sample component, then the
+/// complex multiply by the output's phase (6 flops).
+fn conv_kernel_flops(outputs: usize, taps: usize, components: usize) -> f64 {
+    outputs as f64 * (2.0 * (components * taps) as f64 + 6.0)
+}
+
 fn bench_conv_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
     let n = 1usize << 16;
     let p = 8;
@@ -214,7 +224,7 @@ fn bench_conv_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
         kernel: format!("conv[{}]", kernel_name()),
         n: cfg.n_prime,
         stats,
-        flops: conv_flops(cfg.n_prime, cfg.taps()),
+        flops: conv_kernel_flops(cfg.n_prime, cfg.taps(), 2),
         transforms: 1.0,
         dispatch: kernel_name().to_string(),
     });
@@ -228,16 +238,16 @@ fn bench_conv_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
             kernel: "conv[portable]".to_string(),
             n: cfg.n_prime,
             stats,
-            flops: conv_flops(cfg.n_prime, cfg.taps()),
+            flops: conv_kernel_flops(cfg.n_prime, cfg.taps(), 2),
             transforms: 1.0,
             dispatch: "portable".to_string(),
         });
     }
 
-    // The r2c path's kernel on the real parts of the same input: half the
-    // complex kernel's flops per output point.
+    // The r2c path's kernel on the real parts of the same input: one
+    // sample component per tap instead of two.
     let xr = AlignedBuf::from_slice(&xext.iter().map(|c| c.re).collect::<Vec<f64>>());
-    let real_flops = conv_flops(cfg.n_prime, cfg.taps()) * <f64 as Sample>::CONV_FLOP_SHARE;
+    let real_flops = conv_kernel_flops(cfg.n_prime, cfg.taps(), 1);
     let stats = g.bench(&format!("conv-real[{}]/{}", kernel_name(), cfg.n_prime), || {
         convolve_real(shape, coeffs, &xr, &mut out);
         black_box(out[0])
@@ -266,10 +276,11 @@ fn bench_conv_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
     }
 }
 
-/// The segment/band row kernel on the conv row's geometry: `M'` rows of
-/// `BP` taps, `8·M'·BP` flops, which is exactly the full convolution's
-/// count. The band start is unaligned, so the per-block phase multiply
-/// is included.
+/// The segment/band row kernel on the conv row's geometry: `M'` rows,
+/// each `P` complex lane sums over `B+1` real taps, their `P` phase
+/// multiplies and the `P − 1` additions that combine them. The band
+/// start is unaligned, so the window fill's complex multiply of each of
+/// the `N` samples by its block phase counts too.
 fn bench_zoom_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
     let n = 1usize << 16;
     let p = 8;
@@ -278,7 +289,8 @@ fn bench_zoom_kernel(g: &mut Bencher, rows: &mut Vec<Row>) {
     let cfg = *soi.config();
     let taps = ZoomTaps::new(soi.shape(), soi.coefficients(), n, cfg.m + 13);
     let x = tone_mix(n);
-    let flops = conv_flops(cfg.n_prime, cfg.taps());
+    let flops = conv_kernel_flops(cfg.n_prime, cfg.taps(), 2)
+        + (2 * (cfg.p - 1) * cfg.m_prime + 6 * n) as f64;
     let serial = soi_core::ThreadPool::serial();
     let mut out = AlignedBuf::<Complex64>::zeroed(cfg.m_prime);
     g.throughput_elements(cfg.m_prime as u64);

@@ -31,6 +31,22 @@
 //! which depends on `j` only through `j mod μ` — the `μPB` distinct
 //! elements of Fig 4 ("The entire matrix has μPB distinct elements").
 //!
+//! ## Real taps and a row/lane phase
+//!
+//! `H` is real (every window family's time-domain dual is), and the
+//! phase `e^{iπθ}` splits along `θ`'s three terms:
+//!
+//! ```text
+//! e^{iπθ} = i^B · e^{iπ(frac(rν/μ) − s/P)} · (−1)^b
+//! c[r,b,s] = Φ[r,s] · g[r,b,s],   g = (−1)^b·(ν/μ)·H(θ),   Φ = i^B·e^{iπ(frac(rν/μ) − s/P)}
+//! ```
+//!
+//! so the tables hold `μ·(B+1)·P` real taps `g` and `μ·P` phases `Φ`. Each
+//! convolution output `Σ_b c·x = Φ·Σ_b g·x` then costs one real
+//! multiply-add per tap and sample component, plus one complex multiply.
+//! `Φ` is evaluated at a reduced argument: `i^B` is an exact quarter
+//! turn, and `π·(frac − s/P)` lies in `(−π, π)`.
+//!
 //! Demodulation divides bin `k` by `ŵ(k)` (§3: `y⁽⁰⁾ ≈ Ŵ⁻¹·P_proj·ỹ`).
 
 use crate::params::SoiConfig;
@@ -40,15 +56,17 @@ use soi_window::family::Window;
 /// Precomputed tables for one SOI configuration.
 #[derive(Debug, Clone)]
 pub struct ConvCoefficients {
-    /// Distinct convolution coefficients, laid out `[(r·B + b)·P + s]` for
-    /// row-residue `r < μ`, block `b < B`, lane `s < P` (μPB entries).
-    /// The AVX2 kernels read it as interleaved `[re im re im]` pairs, so
-    /// it is cache-line aligned.
-    pub coef: AlignedBuf<Complex64>,
-    /// The same taps as split planes for the real-input convolution: per
-    /// row residue `r`, the `(B+1)·P` real parts, then the `(B+1)·P`
-    /// imaginary parts, at `[r·2(B+1)P + part·(B+1)P + b·P + s]`.
-    pub(crate) real_planes: AlignedBuf<f64>,
+    /// Real window taps `g[r,b,s]`, laid out `[(r·(B+1) + b)·P + s]` for
+    /// row residue `r < μ`, tap block `b ≤ B`, lane `s < P`. The portable
+    /// kernels and the real-input AVX2 kernel read it.
+    pub(crate) taps: AlignedBuf<f64>,
+    /// `taps` with every value written twice (`[g₀ g₀ g₁ g₁ …]`), so one
+    /// 256-bit load holds a lane pair's taps for both components of two
+    /// complex samples. The complex AVX2 kernels read it (18.5 KB at
+    /// Digits10, `P = 8`).
+    pub(crate) taps_dup: AlignedBuf<f64>,
+    /// Row/lane phases `Φ[r,s]`, laid out `[r·P + s]`.
+    pub(crate) phases: AlignedBuf<Complex64>,
     /// Demodulation weights `1/ŵ(k)` for `k < M`.
     pub demod: AlignedBuf<Complex64>,
     mu: usize,
@@ -64,28 +82,32 @@ impl ConvCoefficients {
         let (mu, nu, b, p) = (cfg.mu, cfg.nu, cfg.b, cfg.p);
         let taps = cfg.taps();
         let scale = nu as f64 / mu as f64;
-        let mut coef = Vec::with_capacity(mu * taps * p);
+        let mut g = Vec::with_capacity(mu * taps * p);
+        let mut phases = Vec::with_capacity(mu * p);
         for r in 0..mu {
             // frac(r·ν/μ) computed exactly in rationals.
-            let frac = (r * nu % mu) as f64 / mu as f64;
+            let num = r * nu % mu;
+            let frac = num as f64 / mu as f64;
             for blk in 0..taps {
                 for s in 0..p {
                     let theta = frac + b as f64 / 2.0 - blk as f64 - s as f64 / p as f64;
-                    let h = cfg.window.h_time(theta);
-                    let phase = Complex64::cis(std::f64::consts::PI * theta);
-                    coef.push(phase.scale(h * scale));
+                    let h = cfg.window.h_time(theta) * scale;
+                    g.push(if blk % 2 == 0 { h } else { -h });
                 }
             }
+            for s in 0..p {
+                // frac − s/P = (num·P − s·μ)/(μ·P), one rounding.
+                let reduced = (num * p) as f64 - (s * mu) as f64;
+                let phi = Complex64::cis(std::f64::consts::PI * (reduced / (mu * p) as f64));
+                phases.push(quarter_turns(phi, b));
+            }
         }
-        let mut real_planes = Vec::with_capacity(2 * coef.len());
-        for row in coef.chunks_exact(taps * p) {
-            real_planes.extend(row.iter().map(|c| c.re));
-            real_planes.extend(row.iter().map(|c| c.im));
-        }
+        let dup: Vec<f64> = g.iter().flat_map(|&t| [t, t]).collect();
         let demod: Vec<Complex64> = (0..cfg.m).map(|k| w_hat(cfg, k as f64).inv()).collect();
         Self {
-            coef: AlignedBuf::from_slice(&coef),
-            real_planes: AlignedBuf::from_slice(&real_planes),
+            taps: AlignedBuf::from_slice(&g),
+            taps_dup: AlignedBuf::from_slice(&dup),
+            phases: AlignedBuf::from_slice(&phases),
             demod: AlignedBuf::from_slice(&demod),
             mu,
             b: taps,
@@ -93,23 +115,35 @@ impl ConvCoefficients {
         }
     }
 
-    /// Coefficient row for residue `r`, block `b`: a `P`-lane slice.
+    /// The real tap `g[r, blk, s]`.
     #[inline]
-    pub fn lane_row(&self, r: usize, blk: usize) -> &[Complex64] {
-        let start = (r * self.b + blk) * self.p;
-        &self.coef[start..start + self.p]
+    pub fn tap(&self, r: usize, blk: usize, s: usize) -> f64 {
+        self.taps[(r * self.b + blk) * self.p + s]
+    }
+
+    /// The row/lane phase `Φ[r, s]`.
+    #[inline]
+    pub fn phase(&self, r: usize, s: usize) -> Complex64 {
+        self.phases[r * self.p + s]
+    }
+
+    /// The matrix coefficient `c[r, blk, s] = Φ[r, s]·g[r, blk, s]` (Eq. 4),
+    /// formed from the two tables.
+    #[inline]
+    pub fn coefficient(&self, r: usize, blk: usize, s: usize) -> Complex64 {
+        self.phase(r, s).scale(self.tap(r, blk, s))
     }
 
     /// Number of distinct coefficients (`μPB`, the Fig 4 count).
     pub fn distinct(&self) -> usize {
-        self.coef.len()
+        self.taps.len()
     }
 
-    /// Total table memory in bytes (coefficients in both layouts and
+    /// Total table memory in bytes (taps in both layouts, phases and
     /// demodulation).
     pub fn memory_bytes(&self) -> usize {
-        (self.coef.len() + self.demod.len()) * std::mem::size_of::<Complex64>()
-            + self.real_planes.len() * std::mem::size_of::<f64>()
+        (self.taps.len() + self.taps_dup.len()) * std::mem::size_of::<f64>()
+            + (self.phases.len() + self.demod.len()) * std::mem::size_of::<Complex64>()
     }
 
     /// μ (row residues in the table).
@@ -125,6 +159,16 @@ impl ConvCoefficients {
     /// P (lanes per block).
     pub fn p(&self) -> usize {
         self.p
+    }
+}
+
+/// `z·i^k`, exactly: a quarter turn is a swap and a sign change.
+fn quarter_turns(z: Complex64, k: usize) -> Complex64 {
+    match k % 4 {
+        0 => z,
+        1 => z.mul_i(),
+        2 => -z,
+        _ => z.mul_neg_i(),
     }
 }
 
@@ -179,21 +223,23 @@ mod tests {
     }
 
     #[test]
-    fn real_planes_split_each_residue_of_the_interleaved_table() {
+    fn taps_dup_doubles_each_tap() {
         let cfg = small_cfg();
         let c = ConvCoefficients::new(&cfg);
-        let bp = cfg.taps() * cfg.p;
-        assert_eq!(c.real_planes.len(), 2 * c.coef.len());
-        for (q, t) in c.coef.iter().enumerate() {
-            let (r, i) = (q / bp, q % bp);
-            assert_eq!(c.real_planes[2 * r * bp + i].to_bits(), t.re.to_bits(), "re {q}");
-            assert_eq!(c.real_planes[(2 * r + 1) * bp + i].to_bits(), t.im.to_bits(), "im {q}");
+        assert_eq!(c.taps_dup.len(), 2 * c.taps.len());
+        for (q, t) in c.taps.iter().enumerate() {
+            assert_eq!(c.taps_dup[2 * q].to_bits(), t.to_bits(), "{q}");
+            assert_eq!(c.taps_dup[2 * q + 1].to_bits(), t.to_bits(), "{q}");
+        }
+        assert_eq!(c.phases.len(), cfg.mu * cfg.p);
+        for ph in c.phases.iter() {
+            assert!((ph.abs() - 1.0).abs() < 1e-15, "|Φ| = {}", ph.abs());
         }
     }
 
     #[test]
     fn table_matches_direct_definition() {
-        // Every table entry must equal c_{j,ℓ} from Eq. (4) for a j with
+        // Every product Φ·g must equal c_{j,ℓ} from Eq. (4) for a j with
         // the right residue and its support blocks.
         let cfg = small_cfg();
         let c = ConvCoefficients::new(&cfg);
@@ -207,7 +253,7 @@ mod tests {
                         continue;
                     }
                     let want = coefficient_direct(&cfg, j, l);
-                    let got = c.lane_row(r, blk)[s];
+                    let got = c.coefficient(r, blk, s);
                     assert!(
                         (got - want).abs() < 1e-15 + 1e-12 * want.abs(),
                         "j={j} blk={blk} s={s}: {got:?} vs {want:?}"

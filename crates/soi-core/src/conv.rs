@@ -6,23 +6,28 @@
 //! stride-`P` taps, and lanes `s = 0..P` of a row-group read *contiguous*
 //! input, which is what makes the kernel vectorizable.
 //!
+//! Every coefficient is a real window tap times a row/lane phase,
+//! `c[r,b,s] = Φ[r,s]·g[r,b,s]` ([`ConvCoefficients`]). So each lane
+//! accumulates `Σ_b g·x` at one real multiply-add per sample component
+//! and tap, and the finished sum takes one complex multiply by `Φ`.
+//!
 //! Three implementations:
 //!
-//! * [`convolve`] — the production entry point: chunked μ-row coefficient
-//!   reuse + register tiling, dispatched at runtime to an AVX2+FMA inner
-//!   kernel when the CPU has it. This mirrors the paper's loop
-//!   interchange + unroll-and-jam + SIMD treatment that reached ~40% of
-//!   machine peak (§7.4).
-//! * [`convolve_portable`] — the same loop structure in safe, portable
-//!   Rust; the fallback path and the SIMD ablation baseline.
+//! * [`convolve`] — the production entry point, dispatched at runtime to
+//!   an AVX2+FMA inner kernel when the CPU has it. This mirrors the
+//!   paper's loop interchange + unroll-and-jam + SIMD treatment that
+//!   reached ~40% of machine peak (§7.4).
+//! * [`convolve_portable`] — the same lane sums in safe, portable Rust;
+//!   the fallback path and the SIMD ablation baseline.
 //! * [`convolve_naive`] — the textbook 4-deep loop nest in the paper's
-//!   pseudo-code order (lane-strided inner products, no reuse), kept as
-//!   the ablation baseline for the `conv_kernel` bench.
+//!   pseudo-code order (lane-strided inner products with the complex
+//!   coefficients `Φ·g`, no reuse), kept as the ablation baseline for the
+//!   `conv_kernel` bench.
 //!
-//! The segment/band extraction has its own row kernel, [`zoom_pooled`]:
-//! one output per row instead of `P`, each a contiguous `BP`-tap dot
-//! product against taps that carry the shift-theorem phase
-//! ([`ZoomTaps`]), on the same dispatch seam and interleaved tap layout.
+//! [`convolve_real`] and [`convolve_real_portable`] are their real-input
+//! twins. The segment/band extraction, [`zoom_pooled`], runs the same
+//! lane sums over a phase-shifted window of the input and combines each
+//! row's lanes into one output ([`ZoomTaps`]).
 
 use crate::coeff::ConvCoefficients;
 use crate::error::SoiError;
@@ -64,33 +69,79 @@ impl ConvShape {
     }
 }
 
+/// Row residue `r = j mod μ` and first input block `kb = ⌊jν/μ⌋` of rows
+/// `j0, j0 + 1, …`, advanced by additions (`ν < μ`, so `kb` steps by 0 or
+/// 1): no division per row, and a row's values do not depend on where
+/// its range starts.
+#[derive(Debug, Clone, Copy)]
+struct RowWalk {
+    mu: usize,
+    nu: usize,
+    r: usize,
+    kb: usize,
+    frac: usize,
+}
+
+impl RowWalk {
+    fn new(shape: ConvShape, j0: usize) -> Self {
+        let ConvShape { mu, nu, .. } = shape;
+        Self {
+            mu,
+            nu,
+            r: j0 % mu,
+            kb: j0 * nu / mu,
+            frac: j0 * nu % mu,
+        }
+    }
+
+    #[inline(always)]
+    fn advance(&mut self) {
+        self.r += 1;
+        if self.r == self.mu {
+            self.r = 0;
+        }
+        self.frac += self.nu;
+        if self.frac >= self.mu {
+            self.frac -= self.mu;
+            self.kb += 1;
+        }
+    }
+}
+
+/// The extents every convolution entry point asserts: `out` is whole
+/// μ-row chunks, and `xext` covers their input.
+fn check_extents(shape: ConvShape, xext_len: usize, out_len: usize) {
+    let ConvShape { mu, p, .. } = shape;
+    let rows = out_len / p;
+    assert_eq!(out_len, rows * p, "out must be whole rows");
+    assert!(rows % mu == 0, "rows {rows} must be a multiple of mu {mu}");
+    assert!(
+        xext_len >= shape.required_input(rows),
+        "xext too short: {} < {}",
+        xext_len,
+        shape.required_input(rows)
+    );
+}
+
 /// Optimized convolution: fills `out` (`rows·P` values, row-major in
 /// `(j, s)`) from `xext` (local input followed by the halo).
 ///
 /// Dispatches once per call on runtime CPU features: an AVX2+FMA kernel
 /// where the hardware has it (see [`kernel_name`]), otherwise the
-/// portable register-tiled kernel. Both orders the reduction identically,
-/// so each path is bitwise deterministic run-to-run and across worker
-/// counts; the two paths differ from each other only by FMA rounding.
+/// portable kernel. Both order each lane's reduction the same way (even
+/// tap blocks, odd tap blocks, then their sum), so each path is bitwise
+/// deterministic run-to-run and across worker counts; the two paths
+/// differ from each other only by FMA rounding.
 pub fn convolve(shape: ConvShape, coeffs: &ConvCoefficients, xext: &[Complex64], out: &mut [Complex64]) {
-    let ConvShape { mu, p, .. } = shape;
-    let rows = out.len() / p;
-    assert_eq!(out.len(), rows * p, "out must be whole rows");
-    assert!(rows % mu == 0, "rows {rows} must be a multiple of mu {mu}");
-    assert!(
-        xext.len() >= shape.required_input(rows),
-        "xext too short: {} < {}",
-        xext.len(),
-        shape.required_input(rows)
-    );
+    check_extents(shape, xext.len(), out.len());
     #[cfg(target_arch = "x86_64")]
     if avx2::available() {
         // SAFETY: avx2+fma presence just checked; slice extents were
-        // validated by the asserts above.
+        // validated above.
         unsafe { avx2::convolve(shape, coeffs, xext, out) };
         return;
     }
-    convolve_portable(shape, coeffs, xext, out);
+    portable_rows(shape, coeffs, xext, out);
 }
 
 /// Name of the convolution inner kernel [`convolve`] dispatches to on
@@ -105,13 +156,10 @@ pub fn kernel_name() -> &'static str {
     "portable"
 }
 
-/// The portable (no target-feature) kernel: register-tiles four lanes ×
-/// two tap blocks (2×4 unroll-and-jam), so eight complex accumulators
-/// live in registers across the whole B-tap reduction (instead of a
-/// load/modify/store of `out` per tap), with two independent FMA chains
-/// per lane to cover the FMA latency — the §6b "keep partial sums of
-/// inner products in registers while exploiting SIMD parallelism"
-/// treatment, expressed in safe Rust. Public as the dispatch-free
+/// The portable (no target-feature) kernel: four lanes × two tap banks
+/// per pass, so eight accumulators live in registers across the whole
+/// tap reduction, the §6b "keep partial sums of inner products in
+/// registers" treatment in safe Rust. Public as the dispatch-free
 /// reference for tests and the kernel-bench ablation.
 pub fn convolve_portable(
     shape: ConvShape,
@@ -119,108 +167,104 @@ pub fn convolve_portable(
     xext: &[Complex64],
     out: &mut [Complex64],
 ) {
-    let ConvShape { mu, nu, b, p } = shape;
-    let rows = out.len() / p;
-    assert_eq!(out.len(), rows * p, "out must be whole rows");
-    assert!(rows % mu == 0, "rows {rows} must be a multiple of mu {mu}");
-    assert!(
-        xext.len() >= shape.required_input(rows),
-        "xext too short: {} < {}",
-        xext.len(),
-        shape.required_input(rows)
-    );
-    let chunks = rows / mu;
-    for c in 0..chunks {
-        for r in 0..mu {
-            let j = c * mu + r;
-            let k0 = c * nu + r * nu / mu;
-            let out_row = &mut out[j * p..(j + 1) * p];
-            let taps = &coeffs.coef[r * b * p..(r + 1) * b * p];
-            let xin = &xext[k0 * p..];
-            // 2×4 unroll-and-jam: four lanes × two tap blocks per
-            // iteration. The eight accumulators give two independent FMA
-            // chains per lane, hiding the complex-FMA latency that a
-            // single chain per lane serializes on; banks are summed once
-            // at the end (a fixed reassociation, identical for every
-            // worker count).
-            let mut s = 0;
-            while s + 4 <= p {
-                let (mut a0, mut a1, mut a2, mut a3) = (
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                );
-                let (mut b0, mut b1, mut b2, mut b3) = (
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                );
-                let mut blk = 0;
-                while blk + 2 <= b {
-                    let ci = blk * p + s;
-                    let cj = ci + p;
-                    let t = &taps[ci..ci + 4];
-                    let x = &xin[ci..ci + 4];
-                    let u = &taps[cj..cj + 4];
-                    let z = &xin[cj..cj + 4];
-                    a0 = t[0].mul_add(x[0], a0);
-                    a1 = t[1].mul_add(x[1], a1);
-                    a2 = t[2].mul_add(x[2], a2);
-                    a3 = t[3].mul_add(x[3], a3);
-                    b0 = u[0].mul_add(z[0], b0);
-                    b1 = u[1].mul_add(z[1], b1);
-                    b2 = u[2].mul_add(z[2], b2);
-                    b3 = u[3].mul_add(z[3], b3);
-                    blk += 2;
-                }
-                if blk < b {
-                    let ci = blk * p + s;
-                    let t = &taps[ci..ci + 4];
-                    let x = &xin[ci..ci + 4];
-                    a0 = t[0].mul_add(x[0], a0);
-                    a1 = t[1].mul_add(x[1], a1);
-                    a2 = t[2].mul_add(x[2], a2);
-                    a3 = t[3].mul_add(x[3], a3);
-                }
-                out_row[s] = a0 + b0;
-                out_row[s + 1] = a1 + b1;
-                out_row[s + 2] = a2 + b2;
-                out_row[s + 3] = a3 + b3;
-                s += 4;
-            }
-            // Remainder lanes.
-            while s < p {
-                let mut acc = Complex64::ZERO;
-                for blk in 0..b {
-                    acc = taps[blk * p + s].mul_add(xin[blk * p + s], acc);
-                }
-                out_row[s] = acc;
-                s += 1;
-            }
-        }
+    check_extents(shape, xext.len(), out.len());
+    portable_rows(shape, coeffs, xext, out);
+}
+
+/// The rows of [`convolve_portable`] and [`convolve_real_portable`]:
+/// each lane's sum from [`portable_lanes`], times `Φ[r, s]`.
+fn portable_rows<T: Sample>(
+    shape: ConvShape,
+    coeffs: &ConvCoefficients,
+    xext: &[T],
+    out: &mut [Complex64],
+) {
+    let ConvShape { b, p, .. } = shape;
+    let bp = b * p;
+    let mut walk = RowWalk::new(shape, 0);
+    for out_row in out.chunks_exact_mut(p) {
+        let (r, kb) = (walk.r, walk.kb);
+        let phases = &coeffs.phases[r * p..(r + 1) * p];
+        let xin = &xext[kb * p..kb * p + bp];
+        portable_lanes(&coeffs.taps[r * bp..(r + 1) * bp], xin, b, p, |s, sum| {
+            out_row[s] = sum * phases[s];
+        });
+        walk.advance();
     }
 }
 
-/// AVX2+FMA inner kernel, selected at runtime by [`convolve`].
+/// Each lane's `Σ_blk g[blk·P + s]·x[blk·P + s]` over one row's `b` tap
+/// blocks, handed to `f` in lane order as a complex value (a real sum as
+/// `(S, +0)`). Four lanes per pass, each summed in two banks (even tap
+/// blocks, odd tap blocks, then their sum), then single lanes for
+/// `P mod 4`: every lane is the same chain of plain multiply-adds
+/// whichever group it falls in, for either sample type.
+#[inline(always)]
+fn portable_lanes<T: Sample>(
+    taps: &[f64],
+    x: &[T],
+    b: usize,
+    p: usize,
+    mut f: impl FnMut(usize, Complex64),
+) {
+    let mut s = 0;
+    while s + 4 <= p {
+        for (i, v) in lane_sums::<T, 4>(taps, x, s, b, p).into_iter().enumerate() {
+            f(s + i, v.widen());
+        }
+        s += 4;
+    }
+    while s < p {
+        let [v] = lane_sums::<T, 1>(taps, x, s, b, p);
+        f(s, v.widen());
+        s += 1;
+    }
+}
+
+/// The two-bank sums of `L` lanes from lane `s`, for [`portable_lanes`].
+#[inline(always)]
+fn lane_sums<T: Sample, const L: usize>(
+    taps: &[f64],
+    x: &[T],
+    s: usize,
+    b: usize,
+    p: usize,
+) -> [T; L] {
+    let mut even = [T::default(); L];
+    let mut odd = [T::default(); L];
+    let mut blk = 0;
+    while blk < b {
+        let ci = blk * p + s;
+        let (g, v) = (&taps[ci..ci + L], &x[ci..ci + L]);
+        for i in 0..L {
+            even[i] = even[i] + v[i] * g[i];
+        }
+        if blk + 1 < b {
+            let cj = ci + p;
+            let (g, v) = (&taps[cj..cj + L], &x[cj..cj + L]);
+            for i in 0..L {
+                odd[i] = odd[i] + v[i] * g[i];
+            }
+        }
+        blk += 2;
+    }
+    std::array::from_fn(|i| even[i] + odd[i])
+}
+
+/// AVX2+FMA kernels, selected at runtime by [`convolve`],
+/// [`convolve_real`] and [`zoom_pooled`].
 ///
-/// Lanes are processed two complex values per 256-bit register. The
-/// complex multiply-accumulate is split into two plain FMA streams over
-/// the interleaved taps of [`ConvCoefficients::coef`] — `m += t·x`
-/// collects `[t.re·x.re, t.im·x.im]` and `n += t·swap(x)` collects
-/// `[t.re·x.im, t.im·x.re]` per lane — with the reconciliation
-/// `[Σt.re·x.re − Σt.im·x.im, Σt.re·x.im + Σt.im·x.re]` deferred to one
-/// unpack pair and one `addsub` after the whole B-tap reduction (legal
-/// because both distribute over the sums). The loop spends its shuffle
-/// port only on `swap(x)`: per tap and lane-pair the cost is 2 loads +
-/// 1 shuffle + 2 FMAs, from a 16-byte-per-tap table (18.5 KB at
-/// Digits10, P = 8) that stays in L1 beside a row's input. The same
-/// 2-tap × 4-lane jam as the portable kernel gives eight independent
-/// FMA chains.
+/// Complex samples stay interleaved, two per 256-bit register, and meet
+/// the duplicated taps ([`ConvCoefficients::taps_dup`], `[g g]` per
+/// lane): per lane pair and tap, one load of `x`, one load of the tap and
+/// one FMA, with no shuffle. Real samples go four per register against
+/// the plain taps. Lanes are walked in octets (complex) or quads of two
+/// interleaved rows (real), so eight FMA chains cover the FMA latency.
+/// Each finished sum takes one complex multiply by its phase, in the
+/// `fmaddsub` form of [`cmul`].
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::ConvShape;
+    use super::{ConvShape, RowWalk, ZoomTaps};
     use crate::coeff::ConvCoefficients;
     use soi_num::Complex64;
     use std::arch::x86_64::*;
@@ -234,34 +278,158 @@ mod avx2 {
         soi_fft::simd::enabled()
     }
 
-    /// Two consecutive complex taps × two complex values at flat offset
-    /// `ci`, both interleaved `[re im re im]`: `m += t·x`,
-    /// `n += t·swap(x)`.
+    /// Two complex products `z·w`, as `fmaddsub(z, [w.re w.re],
+    /// swap(z)·[w.im w.im])`: the real part `fma(z.re, w.re, −z.im·w.im)`,
+    /// the imaginary part `fma(z.im, w.re, z.re·w.im)`.
     ///
-    /// SAFETY: caller guarantees avx2+fma and that `ci + 2` taps and
-    /// values are readable.
+    /// SAFETY: caller guarantees avx2+fma.
     #[inline(always)]
-    unsafe fn tap_pair(
-        m: &mut __m256d,
-        n: &mut __m256d,
-        taps: *const f64,
-        xin: *const Complex64,
-        ci: usize,
-    ) {
-        let x = _mm256_loadu_pd(xin.add(ci) as *const f64);
-        let xsw = _mm256_permute_pd(x, 0b0101);
-        let t = _mm256_loadu_pd(taps.add(2 * ci));
-        *m = _mm256_fmadd_pd(t, x, *m);
-        *n = _mm256_fmadd_pd(t, xsw, *n);
+    unsafe fn cmul(z: __m256d, w: __m256d) -> __m256d {
+        let zsw = _mm256_permute_pd(z, 0b0101);
+        let wim = _mm256_permute_pd(w, 0b1111);
+        _mm256_fmaddsub_pd(z, _mm256_movedup_pd(w), _mm256_mul_pd(zsw, wim))
     }
 
-    /// The two complex values a pair of [`tap_pair`] accumulators holds:
-    /// `[m₀−m₁, n₀+n₁, m₂−m₃, n₂+n₃]`.
-    ///
-    /// SAFETY: caller guarantees avx2.
+    /// [`cmul`] on one value, bit for bit.
     #[inline(always)]
-    unsafe fn reconcile(m: __m256d, n: __m256d) -> __m256d {
-        _mm256_addsub_pd(_mm256_unpacklo_pd(m, n), _mm256_unpackhi_pd(m, n))
+    fn cmul1(z: Complex64, w: Complex64) -> Complex64 {
+        Complex64::new(
+            z.re.mul_add(w.re, -(z.im * w.im)),
+            z.im.mul_add(w.re, z.re * w.im),
+        )
+    }
+
+    /// What a row does with its finished lane sums.
+    trait Epilogue {
+        /// Lanes `s, s + 1`, as an interleaved complex pair.
+        ///
+        /// SAFETY: caller guarantees avx2+fma and `s + 2 ≤ P`.
+        unsafe fn pair(&mut self, s: usize, v: __m256d);
+        /// Lane `s` alone.
+        ///
+        /// SAFETY: caller guarantees `s < P`.
+        unsafe fn lane(&mut self, s: usize, v: Complex64);
+    }
+
+    /// The convolution's epilogue: store `Φ[s]·sum` to lane `s` of a row.
+    struct Store {
+        dst: *mut f64,
+        phases: *const f64,
+    }
+
+    impl Epilogue for Store {
+        #[inline(always)]
+        unsafe fn pair(&mut self, s: usize, v: __m256d) {
+            let w = _mm256_loadu_pd(self.phases.add(2 * s));
+            _mm256_storeu_pd(self.dst.add(2 * s), cmul(v, w));
+        }
+
+        #[inline(always)]
+        unsafe fn lane(&mut self, s: usize, v: Complex64) {
+            let w = Complex64::new(*self.phases.add(2 * s), *self.phases.add(2 * s + 1));
+            let y = cmul1(v, w);
+            *self.dst.add(2 * s) = y.re;
+            *self.dst.add(2 * s + 1) = y.im;
+        }
+    }
+
+    /// A zoom row's epilogue: add `Λ[s]·sum` over the lanes.
+    struct Combine {
+        phases: *const f64,
+        acc: __m256d,
+        tail: Complex64,
+    }
+
+    impl Epilogue for Combine {
+        #[inline(always)]
+        unsafe fn pair(&mut self, s: usize, v: __m256d) {
+            let w = _mm256_loadu_pd(self.phases.add(2 * s));
+            self.acc = _mm256_add_pd(self.acc, cmul(v, w));
+        }
+
+        #[inline(always)]
+        unsafe fn lane(&mut self, s: usize, v: Complex64) {
+            let w = Complex64::new(*self.phases.add(2 * s), *self.phases.add(2 * s + 1));
+            self.tail = cmul1(v, w);
+        }
+    }
+
+    /// The two-bank sums of `Q` lane pairs from lane `s` of one row over
+    /// interleaved complex samples `x` and duplicated taps `tdup`: bank
+    /// `even` over the even tap blocks, `odd` over the odd ones, then
+    /// their sum.
+    ///
+    /// SAFETY: caller guarantees avx2+fma and that `tdup` and `x` hold the
+    /// row's `2·b·p` values.
+    #[inline(always)]
+    unsafe fn pair_sums<const Q: usize>(
+        tdup: *const f64,
+        x: *const f64,
+        s: usize,
+        b: usize,
+        p: usize,
+    ) -> [__m256d; Q] {
+        let mut even = [_mm256_setzero_pd(); Q];
+        let mut odd = [_mm256_setzero_pd(); Q];
+        let mut blk = 0;
+        while blk + 2 <= b {
+            let ci = 2 * (blk * p + s);
+            let cj = ci + 2 * p;
+            for q in 0..Q {
+                let (i, j) = (ci + 4 * q, cj + 4 * q);
+                even[q] = _mm256_fmadd_pd(_mm256_loadu_pd(tdup.add(i)), _mm256_loadu_pd(x.add(i)), even[q]);
+                odd[q] = _mm256_fmadd_pd(_mm256_loadu_pd(tdup.add(j)), _mm256_loadu_pd(x.add(j)), odd[q]);
+            }
+            blk += 2;
+        }
+        if blk < b {
+            let ci = 2 * (blk * p + s);
+            for q in 0..Q {
+                let i = ci + 4 * q;
+                even[q] = _mm256_fmadd_pd(_mm256_loadu_pd(tdup.add(i)), _mm256_loadu_pd(x.add(i)), even[q]);
+            }
+        }
+        for q in 0..Q {
+            even[q] = _mm256_add_pd(even[q], odd[q]);
+        }
+        even
+    }
+
+    /// One row of complex lane sums: lane octets (four pairs × two banks,
+    /// eight FMA chains), then a quad, a pair and a single lane for
+    /// `P mod 8`, each lane summed in the chain of [`pair_sums`].
+    ///
+    /// SAFETY: as [`pair_sums`].
+    #[inline(always)]
+    unsafe fn complex_row(tdup: *const f64, x: *const f64, b: usize, p: usize, e: &mut impl Epilogue) {
+        let mut s = 0;
+        while s + 8 <= p {
+            for (q, v) in pair_sums::<4>(tdup, x, s, b, p).into_iter().enumerate() {
+                e.pair(s + 2 * q, v);
+            }
+            s += 8;
+        }
+        if s + 4 <= p {
+            for (q, v) in pair_sums::<2>(tdup, x, s, b, p).into_iter().enumerate() {
+                e.pair(s + 2 * q, v);
+            }
+            s += 4;
+        }
+        if s + 2 <= p {
+            let [v] = pair_sums::<1>(tdup, x, s, b, p);
+            e.pair(s, v);
+            s += 2;
+        }
+        if s < p {
+            let (mut even, mut odd) = (Complex64::ZERO, Complex64::ZERO);
+            for blk in 0..b {
+                let c = 2 * (blk * p + s);
+                let (g, acc) = (*tdup.add(c), if blk % 2 == 0 { &mut even } else { &mut odd });
+                acc.re = g.mul_add(*x.add(c), acc.re);
+                acc.im = g.mul_add(*x.add(c + 1), acc.im);
+            }
+            e.lane(s, even + odd);
+        }
     }
 
     /// SAFETY: caller checked [`available`] and validated slice extents
@@ -273,135 +441,129 @@ mod avx2 {
         xext: &[Complex64],
         out: &mut [Complex64],
     ) {
-        let ConvShape { mu, nu, b, p } = shape;
-        let rows = out.len() / p;
-        let chunks = rows / mu;
-        let zero = _mm256_setzero_pd();
-        for c in 0..chunks {
-            for r in 0..mu {
-                let j = c * mu + r;
-                let k0 = c * nu + r * nu / mu;
-                let out_row = &mut out[j * p..(j + 1) * p];
-                let trow = r * b * p;
-                let taps = coeffs.coef[trow..trow + b * p].as_ptr() as *const f64;
-                let xrow = &xext[k0 * p..];
-                let xin = xrow.as_ptr();
-                let mut s = 0;
-                while s + 4 <= p {
-                    // 2 lane-pairs × 2 jammed tap banks = 8 FMA chains.
-                    let (mut m0a, mut n0a, mut m1a, mut n1a) = (zero, zero, zero, zero);
-                    let (mut m0b, mut n0b, mut m1b, mut n1b) = (zero, zero, zero, zero);
-                    let mut blk = 0;
-                    while blk + 2 <= b {
-                        let ci = blk * p + s;
-                        let cj = ci + p;
-                        tap_pair(&mut m0a, &mut n0a, taps, xin, ci);
-                        tap_pair(&mut m1a, &mut n1a, taps, xin, ci + 2);
-                        tap_pair(&mut m0b, &mut n0b, taps, xin, cj);
-                        tap_pair(&mut m1b, &mut n1b, taps, xin, cj + 2);
-                        blk += 2;
-                    }
-                    if blk < b {
-                        let ci = blk * p + s;
-                        tap_pair(&mut m0a, &mut n0a, taps, xin, ci);
-                        tap_pair(&mut m1a, &mut n1a, taps, xin, ci + 2);
-                    }
-                    let r0 = reconcile(_mm256_add_pd(m0a, m0b), _mm256_add_pd(n0a, n0b));
-                    let r1 = reconcile(_mm256_add_pd(m1a, m1b), _mm256_add_pd(n1a, n1b));
-                    _mm256_storeu_pd(out_row.as_mut_ptr().add(s) as *mut f64, r0);
-                    _mm256_storeu_pd(out_row.as_mut_ptr().add(s + 2) as *mut f64, r1);
-                    s += 4;
-                }
-                while s + 2 <= p {
-                    let (mut m0, mut n0) = (zero, zero);
-                    for blk in 0..b {
-                        tap_pair(&mut m0, &mut n0, taps, xin, blk * p + s);
-                    }
-                    let r0 = reconcile(m0, n0);
-                    _mm256_storeu_pd(out_row.as_mut_ptr().add(s) as *mut f64, r0);
-                    s += 2;
-                }
-                // Odd trailing lane (P is even in every real config).
-                while s < p {
-                    let mut acc = Complex64::ZERO;
-                    for blk in 0..b {
-                        acc = coeffs.coef[trow + blk * p + s].mul_add(xrow[blk * p + s], acc);
-                    }
-                    out_row[s] = acc;
-                    s += 1;
-                }
-            }
+        let ConvShape { b, p, .. } = shape;
+        let bp = b * p;
+        let mut walk = RowWalk::new(shape, 0);
+        for out_row in out.chunks_exact_mut(p) {
+            let (r, kb) = (walk.r, walk.kb);
+            let tdup = &coeffs.taps_dup[2 * r * bp..2 * (r + 1) * bp];
+            let xin = &xext[kb * p..kb * p + bp];
+            let mut e = Store {
+                dst: out_row.as_mut_ptr() as *mut f64,
+                phases: coeffs.phases[r * p..(r + 1) * p].as_ptr() as *const f64,
+            };
+            complex_row(tdup.as_ptr(), xin.as_ptr() as *const f64, b, p, &mut e);
+            walk.advance();
         }
     }
 
-    /// One lane-quad × one tap of the real zoom row: the four real
-    /// samples are loaded once and duplicated across re/im slots
-    /// (`[x0 x0 x1 x1]`, `[x2 x2 x3 x3]`), so one FMA against the
-    /// *interleaved* complex tap register advances both components of two
-    /// lanes.
-    ///
-    /// SAFETY: caller guarantees avx2+fma and `ci + 4 ≤ b·p` for the row
-    /// slices passed in.
-    #[inline(always)]
-    unsafe fn real_quad(
-        a01: &mut __m256d,
-        a23: &mut __m256d,
+    /// One row of the real-input kernel: its plain taps, samples and
+    /// epilogue.
+    struct RealRow {
         taps: *const f64,
-        xin: *const f64,
-        ci: usize,
-    ) {
-        let x = _mm256_loadu_pd(xin.add(ci));
-        let x01 = _mm256_permute4x64_pd(x, 0x50);
-        let x23 = _mm256_permute4x64_pd(x, 0xFA);
-        let t01 = _mm256_loadu_pd(taps.add(2 * ci));
-        let t23 = _mm256_loadu_pd(taps.add(2 * ci + 4));
-        *a01 = _mm256_fmadd_pd(t01, x01, *a01);
-        *a23 = _mm256_fmadd_pd(t23, x23, *a23);
+        x: *const f64,
+        out: Store,
     }
 
-    /// Four lanes × one tap of the real-input convolution from split
-    /// tap planes: `re += t.re·x`, `im += t.im·x`, one register per
-    /// component, so the tap loop is only loads and FMAs.
+    /// The two-bank sums of `Q` lane quads from lane `s`, for `R` rows at
+    /// once (two rows of two quads: eight FMA chains).
     ///
-    /// SAFETY: caller guarantees avx2+fma, that `re_taps` and `im_taps`
-    /// hold `ci + 4` values and `xin` `ci + 4` samples.
+    /// SAFETY: caller guarantees avx2+fma and that each row's `taps` and
+    /// `x` hold `b·p` values.
     #[inline(always)]
-    unsafe fn real_split_quad(
-        re: &mut __m256d,
-        im: &mut __m256d,
-        re_taps: *const f64,
-        im_taps: *const f64,
-        xin: *const f64,
-        ci: usize,
-    ) {
-        let x = _mm256_loadu_pd(xin.add(ci));
-        *re = _mm256_fmadd_pd(_mm256_loadu_pd(re_taps.add(ci)), x, *re);
-        *im = _mm256_fmadd_pd(_mm256_loadu_pd(im_taps.add(ci)), x, *im);
+    unsafe fn quad_sums<const R: usize, const Q: usize>(
+        rows: &[RealRow; R],
+        s: usize,
+        b: usize,
+        p: usize,
+    ) -> [[__m256d; Q]; R] {
+        let mut even = [[_mm256_setzero_pd(); Q]; R];
+        let mut odd = [[_mm256_setzero_pd(); Q]; R];
+        let mut blk = 0;
+        while blk + 2 <= b {
+            let ci = blk * p + s;
+            let cj = ci + p;
+            for (k, row) in rows.iter().enumerate() {
+                for q in 0..Q {
+                    let (i, j) = (ci + 4 * q, cj + 4 * q);
+                    even[k][q] = _mm256_fmadd_pd(_mm256_loadu_pd(row.taps.add(i)), _mm256_loadu_pd(row.x.add(i)), even[k][q]);
+                    odd[k][q] = _mm256_fmadd_pd(_mm256_loadu_pd(row.taps.add(j)), _mm256_loadu_pd(row.x.add(j)), odd[k][q]);
+                }
+            }
+            blk += 2;
+        }
+        if blk < b {
+            let ci = blk * p + s;
+            for (k, row) in rows.iter().enumerate() {
+                for q in 0..Q {
+                    let i = ci + 4 * q;
+                    even[k][q] = _mm256_fmadd_pd(_mm256_loadu_pd(row.taps.add(i)), _mm256_loadu_pd(row.x.add(i)), even[k][q]);
+                }
+            }
+        }
+        for k in 0..R {
+            for q in 0..Q {
+                even[k][q] = _mm256_add_pd(even[k][q], odd[k][q]);
+            }
+        }
+        even
     }
 
-    /// Stores four lanes held as component planes `[re0..re3]`,
-    /// `[im0..im3]` to `dst` as interleaved `[re im]` pairs: two unpacks
-    /// give `[re0 im0 re2 im2]` and `[re1 im1 re3 im3]`, two 128-bit
-    /// permutes put the lanes in order.
+    /// Four real lane sums `[S₀ S₁ S₂ S₃]` from lane `s`, handed to the
+    /// epilogue as the complex pairs `[S₀ +0 S₁ +0]` and `[S₂ +0 S₃ +0]`:
+    /// what the complex kernel's sums are on `(x, 0)`.
     ///
-    /// SAFETY: caller guarantees avx2 and that `dst` has 8 writable values.
+    /// SAFETY: caller guarantees avx2+fma and `s + 4 ≤ P`.
     #[inline(always)]
-    unsafe fn store_interleaved(dst: *mut f64, re: __m256d, im: __m256d) {
-        let lo = _mm256_unpacklo_pd(re, im);
-        let hi = _mm256_unpackhi_pd(re, im);
-        _mm256_storeu_pd(dst, _mm256_permute2f128_pd(lo, hi, 0x20));
-        _mm256_storeu_pd(dst.add(4), _mm256_permute2f128_pd(lo, hi, 0x31));
+    unsafe fn real_quad(e: &mut Store, s: usize, v: __m256d) {
+        let zero = _mm256_setzero_pd();
+        let (lo, hi) = (_mm256_unpacklo_pd(v, zero), _mm256_unpackhi_pd(v, zero));
+        e.pair(s, _mm256_permute2f128_pd(lo, hi, 0x20));
+        e.pair(s + 2, _mm256_permute2f128_pd(lo, hi, 0x31));
+    }
+
+    /// `R` interleaved rows of the real-input kernel: lane octets, then a
+    /// quad, then single lanes for `P mod 4`.
+    ///
+    /// SAFETY: as [`quad_sums`].
+    #[inline(always)]
+    unsafe fn real_rows<const R: usize>(rows: &mut [RealRow; R], b: usize, p: usize) {
+        let mut s = 0;
+        while s + 8 <= p {
+            let v = quad_sums::<R, 2>(rows, s, b, p);
+            for (row, [lo, hi]) in rows.iter_mut().zip(v) {
+                real_quad(&mut row.out, s, lo);
+                real_quad(&mut row.out, s + 4, hi);
+            }
+            s += 8;
+        }
+        if s + 4 <= p {
+            let v = quad_sums::<R, 1>(rows, s, b, p);
+            for (row, [v]) in rows.iter_mut().zip(v) {
+                real_quad(&mut row.out, s, v);
+            }
+            s += 4;
+        }
+        while s < p {
+            for row in rows.iter_mut() {
+                let (mut even, mut odd) = (0.0f64, 0.0f64);
+                for blk in 0..b {
+                    let c = blk * p + s;
+                    let acc = if blk % 2 == 0 { &mut even } else { &mut odd };
+                    *acc = (*row.taps.add(c)).mul_add(*row.x.add(c), *acc);
+                }
+                row.out.lane(s, Complex64::new(even + odd, 0.0));
+            }
+            s += 1;
+        }
     }
 
     /// Real-input AVX2+FMA kernel, selected at runtime by
-    /// [`super::convolve_real`]. Reads the split tap planes
-    /// ([`ConvCoefficients::real_planes`]) and walks each row's lanes in
-    /// octets with eight FMA chains (re/im × two lane quads × the
-    /// even/odd tap-block banks), then one quad with four, then a scalar
-    /// tail. Each output component is one FMA chain per bank — bank a
-    /// over even tap blocks, bank b over odd ones, then a + b — the
-    /// chains the complex kernel runs on `(x, 0)`, so the output is
-    /// bitwise that kernel's.
+    /// [`super::convolve_real`]. Walks the rows two at a time, so two
+    /// rows' lane quads fill the eight FMA chains with the complex
+    /// kernel's two tap banks; every lane is the chain the complex kernel
+    /// runs on `(x, 0)`, and its sum enters the same [`cmul`] as
+    /// `(S, +0)`, so the output is bitwise that kernel's.
     ///
     /// SAFETY: caller checked [`available`] and validated slice extents.
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -411,184 +573,70 @@ mod avx2 {
         xext: &[f64],
         out: &mut [Complex64],
     ) {
-        let ConvShape { mu, nu, b, p } = shape;
-        let rows = out.len() / p;
-        let chunks = rows / mu;
+        let ConvShape { b, p, .. } = shape;
         let bp = b * p;
-        let zero = _mm256_setzero_pd();
-        for c in 0..chunks {
-            for r in 0..mu {
-                let j = c * mu + r;
-                let k0 = c * nu + r * nu / mu;
-                let out_row = out[j * p..(j + 1) * p].as_mut_ptr() as *mut f64;
-                let planes = &coeffs.real_planes[2 * r * bp..2 * (r + 1) * bp];
-                let (tre, tim) = (planes.as_ptr(), planes[bp..].as_ptr());
-                let xrow = &xext[k0 * p..k0 * p + bp];
-                let xin = xrow.as_ptr();
-                let mut s = 0;
-                while s + 8 <= p {
-                    // re/im × 2 lane quads × 2 jammed tap banks = 8 FMA chains.
-                    let (mut re0a, mut im0a, mut re1a, mut im1a) = (zero, zero, zero, zero);
-                    let (mut re0b, mut im0b, mut re1b, mut im1b) = (zero, zero, zero, zero);
-                    let mut blk = 0;
-                    while blk + 2 <= b {
-                        let ci = blk * p + s;
-                        let cj = ci + p;
-                        real_split_quad(&mut re0a, &mut im0a, tre, tim, xin, ci);
-                        real_split_quad(&mut re1a, &mut im1a, tre, tim, xin, ci + 4);
-                        real_split_quad(&mut re0b, &mut im0b, tre, tim, xin, cj);
-                        real_split_quad(&mut re1b, &mut im1b, tre, tim, xin, cj + 4);
-                        blk += 2;
-                    }
-                    if blk < b {
-                        let ci = blk * p + s;
-                        real_split_quad(&mut re0a, &mut im0a, tre, tim, xin, ci);
-                        real_split_quad(&mut re1a, &mut im1a, tre, tim, xin, ci + 4);
-                    }
-                    let dst = out_row.add(2 * s);
-                    store_interleaved(dst, _mm256_add_pd(re0a, re0b), _mm256_add_pd(im0a, im0b));
-                    store_interleaved(
-                        dst.add(8),
-                        _mm256_add_pd(re1a, re1b),
-                        _mm256_add_pd(im1a, im1b),
-                    );
-                    s += 8;
-                }
-                if s + 4 <= p {
-                    let (mut rea, mut ima, mut reb, mut imb) = (zero, zero, zero, zero);
-                    let mut blk = 0;
-                    while blk + 2 <= b {
-                        let ci = blk * p + s;
-                        real_split_quad(&mut rea, &mut ima, tre, tim, xin, ci);
-                        real_split_quad(&mut reb, &mut imb, tre, tim, xin, ci + p);
-                        blk += 2;
-                    }
-                    if blk < b {
-                        real_split_quad(&mut rea, &mut ima, tre, tim, xin, blk * p + s);
-                    }
-                    store_interleaved(
-                        out_row.add(2 * s),
-                        _mm256_add_pd(rea, reb),
-                        _mm256_add_pd(ima, imb),
-                    );
-                    s += 4;
-                }
-                // Trailing `P mod 4` lanes, one chain each.
-                while s < p {
-                    let (mut re, mut im) = (0.0f64, 0.0f64);
-                    for blk in 0..b {
-                        let ci = blk * p + s;
-                        re = planes[ci].mul_add(xrow[ci], re);
-                        im = planes[bp + ci].mul_add(xrow[ci], im);
-                    }
-                    *out_row.add(2 * s) = re;
-                    *out_row.add(2 * s + 1) = im;
-                    s += 1;
-                }
+        let rows = out.len() / p;
+        let mut walk = RowWalk::new(shape, 0);
+        let mut row = |j: usize| {
+            let (r, kb) = (walk.r, walk.kb);
+            walk.advance();
+            RealRow {
+                taps: coeffs.taps[r * bp..(r + 1) * bp].as_ptr(),
+                x: xext[kb * p..kb * p + bp].as_ptr(),
+                out: Store {
+                    dst: out[j * p..(j + 1) * p].as_mut_ptr() as *mut f64,
+                    phases: coeffs.phases[r * p..(r + 1) * p].as_ptr() as *const f64,
+                },
             }
+        };
+        let mut j = 0;
+        while j + 2 <= rows {
+            real_rows(&mut [row(j), row(j + 1)], b, p);
+            j += 2;
+        }
+        if j < rows {
+            real_rows(&mut [row(j)], b, p);
         }
     }
 
-    /// One zoom row over complex samples: `Σ_t taps[t]·data[t]` with
-    /// interleaved complex taps, [`tap_pair`] and [`reconcile`] as in the
-    /// full kernel. Four tap-pairs per step give eight independent FMA
-    /// chains; an odd trailing tap (odd `BP`) takes the scalar path.
+    /// One zoom row, `Σ_s Λ[s]·Σ_blk g·x` over a complex window: the
+    /// complex convolution's lane sums, then the lanes' phased sum.
     ///
-    /// SAFETY: caller guarantees avx2+fma and that `taps` holds
-    /// `2·data.len()` values.
+    /// SAFETY: caller guarantees avx2+fma, that `tdup` and `x` hold the
+    /// row's `2·b·p` values and `lam` its `2·p`.
     #[inline(always)]
-    pub(super) unsafe fn complex_dot(taps: *const f64, data: &[Complex64]) -> Complex64 {
-        let bp = data.len();
-        let xin = data.as_ptr();
-        let zero = _mm256_setzero_pd();
-        let (mut m0, mut n0, mut m1, mut n1) = (zero, zero, zero, zero);
-        let (mut m2, mut n2, mut m3, mut n3) = (zero, zero, zero, zero);
-        let mut t = 0;
-        while t + 8 <= bp {
-            tap_pair(&mut m0, &mut n0, taps, xin, t);
-            tap_pair(&mut m1, &mut n1, taps, xin, t + 2);
-            tap_pair(&mut m2, &mut n2, taps, xin, t + 4);
-            tap_pair(&mut m3, &mut n3, taps, xin, t + 6);
-            t += 8;
-        }
-        while t + 2 <= bp {
-            tap_pair(&mut m0, &mut n0, taps, xin, t);
-            t += 2;
-        }
-        let m = _mm256_add_pd(_mm256_add_pd(m0, m1), _mm256_add_pd(m2, m3));
-        let n = _mm256_add_pd(_mm256_add_pd(n0, n1), _mm256_add_pd(n2, n3));
-        let mut acc = hsum_pairs(reconcile(m, n));
-        if t < bp {
-            let tap = Complex64::new(*taps.add(2 * t), *taps.add(2 * t + 1));
-            acc = tap.mul_add(data[t], acc);
-        }
-        acc
+    pub(super) unsafe fn zoom_row(tdup: *const f64, lam: *const f64, x: *const f64, b: usize, p: usize) -> Complex64 {
+        let mut e = Combine {
+            phases: lam,
+            acc: _mm256_setzero_pd(),
+            tail: Complex64::ZERO,
+        };
+        complex_row(tdup, x, b, p, &mut e);
+        let s = _mm_add_pd(_mm256_castpd256_pd128(e.acc), _mm256_extractf128_pd(e.acc, 1));
+        Complex64::new(_mm_cvtsd_f64(s), _mm_cvtsd_f64(_mm_unpackhi_pd(s, s))) + e.tail
     }
 
-    /// One zoom row over real samples: `Σ_t taps[t]·data[t]` with
-    /// interleaved complex taps, four samples per [`real_quad`], eight per
-    /// step (four FMA chains); the `BP mod 4` trailing taps go scalar.
-    ///
-    /// SAFETY: caller guarantees avx2+fma and that `taps` holds
-    /// `2·data.len()` values.
-    #[inline(always)]
-    pub(super) unsafe fn real_dot(taps: *const f64, data: &[f64]) -> Complex64 {
-        let bp = data.len();
-        let xin = data.as_ptr();
-        let zero = _mm256_setzero_pd();
-        let (mut a01, mut a23, mut b01, mut b23) = (zero, zero, zero, zero);
-        let mut t = 0;
-        while t + 8 <= bp {
-            real_quad(&mut a01, &mut a23, taps, xin, t);
-            real_quad(&mut b01, &mut b23, taps, xin, t + 4);
-            t += 8;
-        }
-        if t + 4 <= bp {
-            real_quad(&mut a01, &mut a23, taps, xin, t);
-            t += 4;
-        }
-        let r = _mm256_add_pd(_mm256_add_pd(a01, b01), _mm256_add_pd(a23, b23));
-        let mut acc = hsum_pairs(r);
-        while t < bp {
-            let (tr, ti) = (*taps.add(2 * t), *taps.add(2 * t + 1));
-            acc = Complex64::new(acc.re + tr * data[t], acc.im + ti * data[t]);
-            t += 1;
-        }
-        acc
-    }
-
-    /// `[a b c d] → (a + c, b + d)`: the two complex lanes of a register
-    /// summed into one value.
-    ///
-    /// SAFETY: caller guarantees avx2.
-    #[inline(always)]
-    unsafe fn hsum_pairs(r: __m256d) -> Complex64 {
-        let s = _mm_add_pd(_mm256_castpd256_pd128(r), _mm256_extractf128_pd(r, 1));
-        Complex64::new(_mm_cvtsd_f64(s), _mm_cvtsd_f64(_mm_unpackhi_pd(s, s)))
-    }
-
-    /// [`super::zoom_rows`] compiled with AVX2+FMA, so the row dots above
-    /// inline into it.
+    /// [`super::zoom_rows`] compiled with AVX2+FMA, so the row kernel
+    /// inlines into it.
     ///
     /// SAFETY: caller checked [`available`]; the rest as
     /// [`super::zoom_rows`].
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn zoom_rows<T: super::Sample>(
-        zt: &super::ZoomTaps,
+        zt: &ZoomTaps,
         x: &[T],
-        wrap: &[T],
+        win: &mut [Complex64],
         j0: usize,
         out: &mut [Complex64],
     ) {
-        super::zoom_rows::<T, true>(zt, x, wrap, j0, out)
+        super::zoom_rows::<T, true>(zt, x, win, j0, out)
     }
 }
 
 /// Row-parallel [`convolve`] on a [`ThreadPool`]: the μ-row coefficient
 /// chunks are split into balanced contiguous ranges, one per worker, and
-/// each range runs the untouched register-tiled kernel rank-relative
-/// (input offset `c₀·ν·P`, exactly like a block of the front end in
-/// [`crate::front`]).
+/// each range runs the untouched kernel rank-relative (input offset
+/// `c₀·ν·P`, exactly like a block of the front end in [`crate::front`]).
 /// Chunk boundaries sit at μ-row granularity, so per-row arithmetic is
 /// identical to serial and the output is bitwise equal for every worker
 /// count.
@@ -600,16 +648,8 @@ pub fn convolve_pooled(
     pool: &ThreadPool,
 ) {
     let ConvShape { mu, nu, p, .. } = shape;
-    let rows = out.len() / p;
-    assert_eq!(out.len(), rows * p, "out must be whole rows");
-    assert!(rows % mu == 0, "rows {rows} must be a multiple of mu {mu}");
-    assert!(
-        xext.len() >= shape.required_input(rows),
-        "xext too short: {} < {}",
-        xext.len(),
-        shape.required_input(rows)
-    );
-    let chunks = rows / mu;
+    check_extents(shape, xext.len(), out.len());
+    let chunks = out.len() / p / mu;
     let parts = pool.threads().min(chunks).max(1);
     if parts == 1 {
         return convolve(shape, coeffs, xext, out);
@@ -627,186 +667,101 @@ pub fn convolve_pooled(
 /// Real-input convolution: fills `out` (`rows·P` complex values) from a
 /// **real** extended input `xext` (local reals followed by the halo).
 ///
-/// With `x` real, the complex multiply-accumulate per tap collapses to
-/// two real FMAs — `acc.re += t.re·x`, `acc.im += t.im·x` — half the
-/// arithmetic of the complex kernel, and the input stream halves in
-/// bytes. Runtime dispatch mirrors [`convolve`]: an AVX2+FMA kernel over
-/// the split re/im tap planes where available, the portable
-/// register-tiled kernel otherwise; each path is bitwise deterministic
-/// run-to-run and across worker counts, and the AVX2 path is bitwise
-/// the complex AVX2 kernel run on `(x, 0)`.
+/// With `x` and the taps real, each lane's sum `Σ_b g·x` is real: one
+/// real multiply-add per tap, half the complex kernel's, over half its
+/// input bytes, then the same complex multiply by `Φ`. Runtime dispatch
+/// mirrors [`convolve`]. Each lane is summed in the complex kernel's
+/// chain and enters the phase multiply as `(S, +0)`, so in either
+/// dispatch the output is bitwise the complex kernel's on `(x, 0)`, and
+/// bitwise deterministic run-to-run and across worker counts.
 pub fn convolve_real(
     shape: ConvShape,
     coeffs: &ConvCoefficients,
     xext: &[f64],
     out: &mut [Complex64],
 ) {
-    let ConvShape { mu, b, p, .. } = shape;
-    let rows = out.len() / p;
-    assert_eq!(out.len(), rows * p, "out must be whole rows");
-    assert_eq!(
-        coeffs.coef.len(),
-        mu * b * p,
-        "coefficients do not match the shape"
-    );
-    assert!(rows % mu == 0, "rows {rows} must be a multiple of mu {mu}");
-    assert!(
-        xext.len() >= shape.required_input(rows),
-        "xext too short: {} < {}",
-        xext.len(),
-        shape.required_input(rows)
-    );
+    check_extents(shape, xext.len(), out.len());
     #[cfg(target_arch = "x86_64")]
     if avx2::available() {
         // SAFETY: avx2+fma presence just checked; slice extents were
-        // validated by the asserts above.
+        // validated above.
         unsafe { avx2::convolve_real(shape, coeffs, xext, out) };
         return;
     }
-    convolve_real_portable(shape, coeffs, xext, out);
+    portable_rows(shape, coeffs, xext, out);
 }
 
-/// Portable real-input kernel: the same chunked μ-row structure and 2×4
-/// unroll-and-jam as [`convolve_portable`], with the per-tap work halved
-/// to the two real products a real sample needs. Public as the
-/// dispatch-free reference for tests and the kernel-bench ablation.
+/// Portable real-input kernel: [`convolve_portable`]'s lane sums over
+/// real samples. Public as the dispatch-free reference for tests and the
+/// kernel-bench ablation.
 pub fn convolve_real_portable(
     shape: ConvShape,
     coeffs: &ConvCoefficients,
     xext: &[f64],
     out: &mut [Complex64],
 ) {
-    let ConvShape { mu, nu, b, p } = shape;
-    let rows = out.len() / p;
-    assert_eq!(out.len(), rows * p, "out must be whole rows");
-    assert!(rows % mu == 0, "rows {rows} must be a multiple of mu {mu}");
-    assert!(
-        xext.len() >= shape.required_input(rows),
-        "xext too short: {} < {}",
-        xext.len(),
-        shape.required_input(rows)
-    );
-    let chunks = rows / mu;
-    let fma = |t: Complex64, x: f64, acc: Complex64| {
-        Complex64::new(acc.re + t.re * x, acc.im + t.im * x)
-    };
-    for c in 0..chunks {
-        for r in 0..mu {
-            let j = c * mu + r;
-            let k0 = c * nu + r * nu / mu;
-            let out_row = &mut out[j * p..(j + 1) * p];
-            let taps = &coeffs.coef[r * b * p..(r + 1) * b * p];
-            let xin = &xext[k0 * p..];
-            let mut s = 0;
-            while s + 4 <= p {
-                let (mut a0, mut a1, mut a2, mut a3) = (
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                );
-                let (mut b0, mut b1, mut b2, mut b3) = (
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                    Complex64::ZERO,
-                );
-                let mut blk = 0;
-                while blk + 2 <= b {
-                    let ci = blk * p + s;
-                    let cj = ci + p;
-                    let t = &taps[ci..ci + 4];
-                    let x = &xin[ci..ci + 4];
-                    let u = &taps[cj..cj + 4];
-                    let z = &xin[cj..cj + 4];
-                    a0 = fma(t[0], x[0], a0);
-                    a1 = fma(t[1], x[1], a1);
-                    a2 = fma(t[2], x[2], a2);
-                    a3 = fma(t[3], x[3], a3);
-                    b0 = fma(u[0], z[0], b0);
-                    b1 = fma(u[1], z[1], b1);
-                    b2 = fma(u[2], z[2], b2);
-                    b3 = fma(u[3], z[3], b3);
-                    blk += 2;
-                }
-                if blk < b {
-                    let ci = blk * p + s;
-                    let t = &taps[ci..ci + 4];
-                    let x = &xin[ci..ci + 4];
-                    a0 = fma(t[0], x[0], a0);
-                    a1 = fma(t[1], x[1], a1);
-                    a2 = fma(t[2], x[2], a2);
-                    a3 = fma(t[3], x[3], a3);
-                }
-                out_row[s] = a0 + b0;
-                out_row[s + 1] = a1 + b1;
-                out_row[s + 2] = a2 + b2;
-                out_row[s + 3] = a3 + b3;
-                s += 4;
-            }
-            while s < p {
-                let mut acc = Complex64::ZERO;
-                for blk in 0..b {
-                    acc = fma(taps[blk * p + s], xin[blk * p + s], acc);
-                }
-                out_row[s] = acc;
-                s += 1;
-            }
-        }
-    }
+    check_extents(shape, xext.len(), out.len());
+    portable_rows(shape, coeffs, xext, out);
 }
 
 /// Per-call tables of a zoom extraction: the `M` bins starting at bin
 /// `k0` (a segment is the band at `k0 = s·M`).
 ///
 /// By the shift theorem the band is segment 0 of `z_l = x_l·e^{−2πi·k0·l/N}`.
-/// Row `j` of segment 0's convolution reads `BP` consecutive samples
-/// starting on a block boundary, `l = kb·P + t` with `kb = ⌊jν/μ⌋`, so
-/// the phase splits into a tap factor and a block factor:
+/// Row `j` of segment 0's convolution reads the samples `l = K·P + s`,
+/// `K = kb + b` for its tap blocks `b` from `kb = ⌊jν/μ⌋`, so with
+/// `δ = k0 mod M` the phase splits into an input-block factor and a lane
+/// factor:
 ///
 /// ```text
-/// e^{−2πi·k0·(kb·P + t)/N} = e^{−2πi·k0·t/N} · e^{−2πi·k0·kb/M}
+/// e^{−2πi·k0·(K·P + s)/N} = e^{−2πi·δ·K/M} · e^{−2πi·k0·s/N}
 /// ```
 ///
-/// The tap factor is folded into the `μ·BP` coefficients once per call;
-/// the block factor multiplies each row's dot product. It is exactly 1
-/// when `M | k0`, and otherwise comes from a two-level root table, so no
-/// modulated copy of `x` and no per-sample `sin`/`cos` exist.
+/// The lane factor joins the coefficient's own phase, `Λ[r,s] =
+/// Φ[r,s]·e^{−2πi·k0·s/N}` (`μ·P` values per call), so row `j` is
+/// `Σ_s Λ[r,s]·Σ_b g[r,b,s]·z[(kb + b)·P + s]` with the real taps `g`. The
+/// block factor `ρ^K`, `ρ = e^{−2πi·δ/M}`, multiplies each input block
+/// once as it enters the zoom's window of `z`: it is exactly 1 for a
+/// segment (`M | k0`), and otherwise comes from a two-level root table,
+/// so no per-sample `sin`/`cos` and no per-row factor exist.
 #[derive(Debug)]
-pub struct ZoomTaps {
+pub struct ZoomTaps<'a> {
     shape: ConvShape,
     n: usize,
-    /// `c[r, t]·e^{−2πi·k0·t/N}`, laid out `[r·BP + t]` like
-    /// `ConvCoefficients::coef`. Every row kernel reads this one table.
-    taps: AlignedBuf<Complex64>,
+    coeffs: &'a ConvCoefficients,
+    /// `Λ[r, s]`, laid out `[r·P + s]` like `ConvCoefficients::phases`.
+    phases: AlignedBuf<Complex64>,
     /// The block factor; `None` when it is exactly 1 (`M | k0`).
     block: Option<BlockRoots>,
 }
 
-impl ZoomTaps {
+impl<'a> ZoomTaps<'a> {
     /// Tables for the band starting at bin `k0 < n` of a length-`n`
     /// transform with kernel `shape` and coefficient tables `coeffs`.
-    pub fn new(shape: ConvShape, coeffs: &ConvCoefficients, n: usize, k0: usize) -> Self {
-        let bp = shape.b * shape.p;
+    pub fn new(shape: ConvShape, coeffs: &'a ConvCoefficients, n: usize, k0: usize) -> Self {
+        let ConvShape { mu, b, p, .. } = shape;
         assert!(k0 < n, "band start {k0} out of range (N = {n})");
-        assert_eq!(n % shape.p, 0, "P = {} must divide N = {n}", shape.p);
+        assert_eq!(n % p, 0, "P = {p} must divide N = {n}");
         assert_eq!(
-            coeffs.coef.len(),
-            shape.mu * bp,
+            (coeffs.mu(), coeffs.b(), coeffs.p()),
+            (mu, b, p),
             "coefficients do not match the shape"
         );
-        let tap_phase: Vec<Complex64> = (0..bp)
-            .map(|t| Complex64::root_of_unity(mul_mod(k0, t, n), n))
+        let lane: Vec<Complex64> = (0..p)
+            .map(|s| Complex64::root_of_unity(mul_mod(k0, s, n), n))
             .collect();
-        let mut taps = AlignedBuf::<Complex64>::zeroed(coeffs.coef.len());
-        for (q, c) in coeffs.coef.iter().enumerate() {
-            taps[q] = *c * tap_phase[q % bp];
-        }
-        let m = n / shape.p;
+        let phases: Vec<Complex64> = coeffs
+            .phases
+            .iter()
+            .enumerate()
+            .map(|(q, &phi)| phi * lane[q % p])
+            .collect();
+        let m = n / p;
         Self {
             shape,
             n,
-            taps,
+            coeffs,
+            phases: AlignedBuf::from_slice(&phases),
             block: (!k0.is_multiple_of(m)).then(|| BlockRoots::new(m, k0 % m)),
         }
     }
@@ -815,18 +770,12 @@ impl ZoomTaps {
     fn rows(&self) -> usize {
         self.n / self.shape.p / self.shape.nu * self.shape.mu
     }
-
-    /// Taps per row, `BP`.
-    fn bp(&self) -> usize {
-        self.shape.b * self.shape.p
-    }
 }
 
-/// `e^{−2πi·q/M}` for `q = step·kb mod M`, as `hi[q >> shift]·lo[q & mask]`
+/// `e^{−2πi·q/M}` for `q = step·K mod M`, as `hi[q >> shift]·lo[q & mask]`
 /// from two tables of about `√M` roots each.
 #[derive(Debug)]
 struct BlockRoots {
-    m: usize,
     step: usize,
     shift: u32,
     lo: Vec<Complex64>,
@@ -844,7 +793,6 @@ impl BlockRoots {
             .map(|h| Complex64::root_of_unity(h << shift, m))
             .collect();
         Self {
-            m,
             step,
             shift,
             lo,
@@ -863,12 +811,18 @@ fn mul_mod(a: usize, b: usize, m: usize) -> usize {
     (a as u128 * b as u128 % m as u128) as usize
 }
 
-/// The zoom rows `out[j] = e^{−2πi·k0·kb/M}·Σ_t taps[j mod μ, t]·x[(kb·P + t) mod N]`
+/// Bytes of each worker's zoom window (complex samples of the current
+/// rows' input blocks).
+const ZOOM_WINDOW_BYTES: usize = 64 << 10;
+
+/// The zoom rows `out[j] = Σ_s Λ[r, s]·Σ_b g[r, b, s]·z[(kb + b)·P + s]`
 /// for all `M'` rows, ready for `F_{M'}` and the demodulation. Rows are
 /// split across `pool` with [`part_range`]; each row is computed by the
 /// same arithmetic whatever range it falls in, so the output is bitwise
-/// equal for every worker count. Dispatches like [`convolve`] to an
-/// AVX2+FMA row kernel or the portable one ([`kernel_name`]).
+/// equal for every worker count. Complex and real input fill the same
+/// complex window and share one row kernel, so a real `x` gives bitwise
+/// the output of its `(x, 0)` embedding. Dispatches like [`convolve`]
+/// ([`kernel_name`]).
 pub fn zoom_pooled<T: Sample>(zt: &ZoomTaps, x: &[T], out: &mut [Complex64], pool: &ThreadPool) {
     #[cfg(target_arch = "x86_64")]
     let simd = avx2::available();
@@ -886,8 +840,8 @@ pub fn zoom_portable<T: Sample>(zt: &ZoomTaps, x: &[T], out: &mut [Complex64]) {
 }
 
 /// The zoom body behind [`zoom_pooled`] and [`zoom_portable`]. They
-/// reach it through `RowDot::zoom`, so it is compiled here, once per
-/// sample type.
+/// reach it through the sealed `Kernels::zoom`, so it is compiled here,
+/// once per sample type.
 fn zoom_with<T: Sample>(
     zt: &ZoomTaps,
     x: &[T],
@@ -897,22 +851,19 @@ fn zoom_with<T: Sample>(
 ) {
     assert_eq!(x.len(), zt.n, "zoom input length");
     assert_eq!(out.len(), zt.rows(), "zoom output length");
-    // Rows whose window crosses N read this copy of the samples around
-    // the wrap point, so `x` itself is never copied.
-    let n = x.len();
-    let bp = zt.bp();
-    let w0 = n.saturating_sub(bp);
-    let wrap: Vec<T> = (0..2 * bp).map(|i| x[(w0 + i) % n]).collect();
+    let ConvShape { b, p, .. } = zt.shape;
+    let window = (ZOOM_WINDOW_BYTES / std::mem::size_of::<Complex64>() / p).max(2 * b) * p;
     let run = |j0: usize, rows: &mut [Complex64]| {
+        let mut win = AlignedBuf::<Complex64>::zeroed(window);
         #[cfg(target_arch = "x86_64")]
         if simd {
             // SAFETY: `simd` is set only when `avx2::available()` held;
             // the lengths were asserted above.
-            return unsafe { avx2::zoom_rows(zt, x, &wrap, j0, rows) };
+            return unsafe { avx2::zoom_rows(zt, x, &mut win, j0, rows) };
         }
         // SAFETY: the portable row kernel needs no CPU feature; the
         // lengths were asserted above.
-        unsafe { zoom_rows::<T, false>(zt, x, &wrap, j0, rows) }
+        unsafe { zoom_rows::<T, false>(zt, x, &mut win, j0, rows) }
     };
     let total = out.len();
     let parts = pool.threads().min(total).max(1);
@@ -928,12 +879,107 @@ fn zoom_with<T: Sample>(
     });
 }
 
-/// An input sample: [`Complex64`], or real `f64` (two real multiply-adds
-/// per tap instead of four). Complex and real input run one pipeline and
-/// differ only in the kernels (the block convolution, [`convolve`] or
-/// [`convolve_real`], and the zoom row dot product) and in the three
-/// facts below. The trait is sealed.
-pub trait Sample: row_dot::RowDot {
+/// Zoom rows `j0..j0 + out.len()`. Row `j` reads the `BP` window samples
+/// from block `kb = ⌊jν/μ⌋` on. The window holds the input blocks
+/// `[w0, w0 + held)` of `z`; it is topped up one block at a time as the
+/// rows advance, each block `K` as `x[(K mod M)·P ..][..P]·ρ^K`, and slid
+/// back to its start when full. A sample's value depends only on `K`,
+/// and the block phase advances by exact integer additions, so each
+/// row's arithmetic is the same whatever range it falls in.
+///
+/// # Safety
+/// With `SIMD` the caller guarantees AVX2+FMA; `x.len() = N`,
+/// `win.len()` is at least `b` blocks, and `j0 + out.len() ≤ M'`.
+#[inline(always)]
+unsafe fn zoom_rows<T: Sample, const SIMD: bool>(
+    zt: &ZoomTaps,
+    x: &[T],
+    win: &mut [Complex64],
+    j0: usize,
+    out: &mut [Complex64],
+) {
+    let ConvShape { b, p, .. } = zt.shape;
+    let m = zt.n / p;
+    let cap = win.len() / p;
+    let mut walk = RowWalk::new(zt.shape, j0);
+    let (mut w0, mut held) = (walk.kb, 0);
+    // The next block to load, mod M, and its phase index q = δ·K mod M.
+    let mut next = walk.kb % m;
+    let mut q = zt.block.as_ref().map_or(0, |br| mul_mod(br.step, next, m));
+    for slot in out.iter_mut() {
+        let kb = walk.kb;
+        if kb + b - w0 > cap {
+            win.copy_within((kb - w0) * p..held * p, 0);
+            held -= kb - w0;
+            w0 = kb;
+        }
+        while held < kb + b - w0 {
+            let src = &x[next * p..(next + 1) * p];
+            let dst = &mut win[held * p..(held + 1) * p];
+            match &zt.block {
+                None => {
+                    for (d, v) in dst.iter_mut().zip(src) {
+                        *d = v.widen();
+                    }
+                }
+                Some(br) => {
+                    let rho = br.root(q);
+                    for (d, v) in dst.iter_mut().zip(src) {
+                        *d = v.widen() * rho;
+                    }
+                    q += br.step;
+                    if q >= m {
+                        q -= m;
+                    }
+                }
+            }
+            held += 1;
+            next += 1;
+            if next == m {
+                next = 0;
+            }
+        }
+        let start = (kb - w0) * p;
+        *slot = zoom_row::<SIMD>(zt, walk.r, &win[start..start + b * p]);
+        walk.advance();
+    }
+}
+
+/// One zoom row, `Σ_s Λ[r, s]·Σ_blk g[r, blk, s]·data[blk·P + s]`: the
+/// convolution's complex lane sums, then the lanes' phased sum.
+///
+/// # Safety
+/// With `SIMD` the caller guarantees AVX2+FMA; `data` holds the row's
+/// `b·p` samples.
+#[inline(always)]
+unsafe fn zoom_row<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Complex64]) -> Complex64 {
+    let ConvShape { b, p, .. } = zt.shape;
+    let bp = b * p;
+    let lam = &zt.phases[r * p..(r + 1) * p];
+    #[cfg(target_arch = "x86_64")]
+    if SIMD {
+        let tdup = &zt.coeffs.taps_dup[2 * r * bp..2 * (r + 1) * bp];
+        return avx2::zoom_row(
+            tdup.as_ptr(),
+            lam.as_ptr() as *const f64,
+            data.as_ptr() as *const f64,
+            b,
+            p,
+        );
+    }
+    let mut acc = Complex64::ZERO;
+    portable_lanes(&zt.coeffs.taps[r * bp..(r + 1) * bp], data, b, p, |s, sum| {
+        acc += sum * lam[s];
+    });
+    acc
+}
+
+/// An input sample: [`Complex64`], or real `f64` (one real multiply-add
+/// per tap instead of two). Complex and real input run one pipeline and
+/// differ only in the block convolution ([`convolve`] or
+/// [`convolve_real`]), the zoom's window fill, and the three facts
+/// below. The trait is sealed.
+pub trait Sample: sealed::Kernels {
     /// Share of the complex convolution's flops the kernel performs: 1,
     /// or ½ for real input.
     const CONV_FLOP_SHARE: f64;
@@ -981,15 +1027,22 @@ impl Sample for f64 {
     }
 }
 
-mod row_dot {
-    #[cfg(target_arch = "x86_64")]
-    use super::avx2;
-    use super::{banked_dot, zoom_with, ConvShape, ZoomTaps};
+mod sealed {
+    use super::{zoom_with, ConvShape, ZoomTaps};
     use crate::coeff::ConvCoefficients;
     use soi_num::Complex64;
     use soi_pool::ThreadPool;
+    use std::ops::{Add, Mul};
 
-    pub trait RowDot: Copy + Default + Send + Sync {
+    /// What differs between sample types, compiled here in soi-core.
+    /// `x·g` with a real tap `g` and `+` are the portable lane sums'
+    /// arithmetic.
+    pub trait Kernels:
+        Copy + Default + Send + Sync + Add<Output = Self> + Mul<f64, Output = Self>
+    {
+        /// The sample as a complex value: itself, or `(x, +0)`.
+        fn widen(self) -> Complex64;
+
         /// The block convolution over this sample type: `out` (whole
         /// μ-row chunks) from `xext`.
         fn convolve(
@@ -999,16 +1052,10 @@ mod row_dot {
             out: &mut [Complex64],
         );
 
-        /// `Σ_t taps[r, t]·data[t]` over the `BP` taps of row residue `r`.
-        ///
-        /// # Safety
-        /// With `SIMD` the caller guarantees AVX2+FMA.
-        unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64;
-
         /// The zoom rows of `x` (`zoom_with` over this sample type). A
         /// method of a concrete impl is compiled here, in soi-core, so
-        /// the zoom kernel exists once per sample type instead of once
-        /// per crate that calls the generic segment and band paths.
+        /// the zoom exists once per sample type instead of once per
+        /// crate that calls the generic segment and band paths.
         ///
         /// # Safety
         /// With `simd` the caller guarantees AVX2+FMA.
@@ -1021,7 +1068,12 @@ mod row_dot {
         );
     }
 
-    impl RowDot for Complex64 {
+    impl Kernels for Complex64 {
+        #[inline(always)]
+        fn widen(self) -> Complex64 {
+            self
+        }
+
         fn convolve(
             shape: ConvShape,
             coeffs: &ConvCoefficients,
@@ -1040,20 +1092,14 @@ mod row_dot {
         ) {
             zoom_with::<Self>(zt, x, out, pool, simd)
         }
-
-        #[inline(always)]
-        unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64 {
-            let bp = data.len();
-            let taps = &zt.taps[r * bp..(r + 1) * bp];
-            #[cfg(target_arch = "x86_64")]
-            if SIMD {
-                return avx2::complex_dot(taps.as_ptr() as *const f64, data);
-            }
-            banked_dot(taps, data, |t, d, acc| t.mul_add(d, acc))
-        }
     }
 
-    impl RowDot for f64 {
+    impl Kernels for f64 {
+        #[inline(always)]
+        fn widen(self) -> Complex64 {
+            Complex64::new(self, 0.0)
+        }
+
         fn convolve(
             shape: ConvShape,
             coeffs: &ConvCoefficients,
@@ -1072,107 +1118,14 @@ mod row_dot {
         ) {
             zoom_with::<Self>(zt, x, out, pool, simd)
         }
-
-        #[inline(always)]
-        unsafe fn dot<const SIMD: bool>(zt: &ZoomTaps, r: usize, data: &[Self]) -> Complex64 {
-            let bp = data.len();
-            let taps = &zt.taps[r * bp..(r + 1) * bp];
-            #[cfg(target_arch = "x86_64")]
-            if SIMD {
-                return avx2::real_dot(taps.as_ptr() as *const f64, data);
-            }
-            banked_dot(taps, data, |t, d, acc| {
-                Complex64::new(acc.re + t.re * d, acc.im + t.im * d)
-            })
-        }
-    }
-}
-
-/// The portable row dot: four accumulator banks over the taps plus the
-/// `BP mod 4` tail, summed in a fixed order.
-#[inline(always)]
-fn banked_dot<T: Copy>(
-    taps: &[Complex64],
-    data: &[T],
-    fma: impl Fn(Complex64, T, Complex64) -> Complex64,
-) -> Complex64 {
-    let mut acc = [Complex64::ZERO; 4];
-    let (tc, dc) = (taps.chunks_exact(4), data.chunks_exact(4));
-    let mut tail = Complex64::ZERO;
-    for (t, d) in tc.remainder().iter().zip(dc.remainder()) {
-        tail = fma(*t, *d, tail);
-    }
-    for (t, d) in tc.zip(dc) {
-        for i in 0..4 {
-            acc[i] = fma(t[i], d[i], acc[i]);
-        }
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Zoom rows `j0..j0 + out.len()`. Row `j` reads `BP` samples from block
-/// `kb = ⌊jν/μ⌋` on, straight out of `x`, or out of `wrap` (the `2·BP`
-/// samples from `N − BP` on, circularly) when its window crosses `N`.
-/// Row residue, block and block phase all advance by additions (`ν < μ`,
-/// so `kb` steps by 0 or 1), which keeps each row's arithmetic
-/// independent of where its range starts.
-///
-/// # Safety
-/// As `RowDot::dot`; `x.len() = N`, `wrap` as described, and
-/// `j0 + out.len() ≤ M'`.
-#[inline(always)]
-unsafe fn zoom_rows<T: Sample, const SIMD: bool>(
-    zt: &ZoomTaps,
-    x: &[T],
-    wrap: &[T],
-    j0: usize,
-    out: &mut [Complex64],
-) {
-    let ConvShape { mu, nu, p, .. } = zt.shape;
-    let n = x.len();
-    let bp = zt.bp();
-    let w0 = n.saturating_sub(bp);
-    let (mut r, mut kb, mut frac) = (j0 % mu, j0 * nu / mu, j0 * nu % mu);
-    // (roots, q = k0·kb mod M, e^{−2πi·q/M}) for the current block.
-    let mut phase = zt.block.as_ref().map(|b| {
-        let q = mul_mod(b.step, kb, b.m);
-        (b, q, b.root(q))
-    });
-    for slot in out.iter_mut() {
-        let base = kb * p;
-        let data = if base + bp <= n {
-            &x[base..base + bp]
-        } else {
-            &wrap[base - w0..base - w0 + bp]
-        };
-        let acc = T::dot::<SIMD>(zt, r, data);
-        *slot = match phase {
-            Some((_, _, w)) => acc * w,
-            None => acc,
-        };
-        r += 1;
-        if r == mu {
-            r = 0;
-        }
-        frac += nu;
-        if frac >= mu {
-            frac -= mu;
-            kb += 1;
-            if let Some((b, q, w)) = phase.as_mut() {
-                *q += b.step;
-                if *q >= b.m {
-                    *q -= b.m;
-                }
-                *w = b.root(*q);
-            }
-        }
     }
 }
 
 /// Naive reference kernel: the paper's pseudo-code loop order
 /// (`loop_a` chunks → `loop_b` μ rows → `loop_c` B blocks → `loop_d`
-/// P elements) evaluated one scalar inner product at a time, lane-major —
-/// strided memory access and no coefficient reuse.
+/// P elements) evaluated one scalar inner product at a time, lane-major,
+/// with the complex coefficients `Φ·g` — strided memory access and no
+/// coefficient reuse.
 pub fn convolve_naive(
     shape: ConvShape,
     coeffs: &ConvCoefficients,
@@ -1188,7 +1141,7 @@ pub fn convolve_naive(
         for s in 0..p {
             let mut acc = Complex64::ZERO;
             for blk in 0..b {
-                acc += coeffs.lane_row(r, blk)[s] * xext[(k0 + blk) * p + s];
+                acc += coeffs.coefficient(r, blk, s) * xext[(k0 + blk) * p + s];
             }
             out[j * p + s] = acc;
         }
@@ -1200,7 +1153,9 @@ mod tests {
     use super::*;
     use crate::coeff::{coefficient_direct, ConvCoefficients};
     use crate::params::SoiParams;
-    use soi_num::{c64, complex::max_abs_diff};
+    use soi_num::complex::{max_abs_diff, rel_l2_error};
+    use soi_num::dd::DdComplex;
+    use soi_num::c64;
     use soi_window::AccuracyPreset;
 
     fn setup() -> (crate::params::SoiConfig, ConvCoefficients, ConvShape) {
@@ -1428,9 +1383,9 @@ mod tests {
 
     #[test]
     fn zoom_dispatched_kernel_matches_portable_reference() {
-        // P = 5 makes BP odd, which reaches the scalar tail of both row
-        // kernels; aligned and unaligned band starts cover both block
-        // phase cases.
+        // P = 5 reaches the single-lane tail of both row kernels;
+        // aligned and unaligned band starts cover both block phase
+        // cases.
         for (n, p) in [(1usize << 12, 4usize), (10_000, 5)] {
             let cfg = SoiParams::with_preset(n, p, AccuracyPreset::Digits10)
                 .unwrap()
@@ -1462,6 +1417,112 @@ mod tests {
         assert!(worst < 1e-13, "{what}: kernels diverged by {worst:e}");
         if kernel_name() == "portable" {
             assert_eq!(worst, 0.0, "{what}: portable dispatch must be exact");
+        }
+    }
+
+    /// Row `j`, lane `s` of the convolution of `x` (its `B+1` tap blocks
+    /// from block `kb = ⌊jν/μ⌋`, indices mod `x.len()`), each sample
+    /// first multiplied by `block(K)` for its input block `K`, from the
+    /// factorized tables: `Σ_b g·(x·block)` and the product with `phase`
+    /// accumulated in double-double, rounded once.
+    fn compensated_lane(
+        coeffs: &ConvCoefficients,
+        shape: ConvShape,
+        x: &[Complex64],
+        j: usize,
+        s: usize,
+        block: &impl Fn(usize) -> DdComplex,
+    ) -> DdComplex {
+        let (r, kb, p) = (j % shape.mu, shape.k0(j), shape.p);
+        let mut acc = DdComplex::from_f64(0.0, 0.0);
+        for blk in 0..shape.b {
+            let k = kb + blk;
+            let v = x[(k * p + s) % x.len()];
+            acc += DdComplex::from_f64(v.re, v.im) * block(k) * DdComplex::from_f64(coeffs.tap(r, blk, s), 0.0);
+        }
+        acc
+    }
+
+    fn dd(v: Complex64) -> DdComplex {
+        DdComplex::from_f64(v.re, v.im)
+    }
+
+    fn rounded(v: DdComplex) -> Complex64 {
+        let (re, im) = v.to_f64();
+        Complex64::new(re, im)
+    }
+
+    #[test]
+    fn every_convolution_entry_point_is_within_rounding_of_a_compensated_reference() {
+        // Seeded white input, all M' rows: each kernel against the same
+        // factorized taps summed in double-double. Taps whose phase is
+        // cis(π·θ) at |π·θ| up to ~47 differ from these by up to ~9e-15
+        // relative; the kernels' own rounding reads ~2e-16.
+        let mut rng = soi_testkit::rng::TestRng::seed_from_u64(0xC0DE);
+        for (n, p) in [(1usize << 14, 8usize), (10_000, 5)] {
+            let cfg = SoiParams::with_preset(n, p, AccuracyPreset::Digits10)
+                .unwrap()
+                .resolve();
+            let coeffs = ConvCoefficients::new(&cfg);
+            let shape = ConvShape {
+                mu: cfg.mu,
+                nu: cfg.nu,
+                b: cfg.taps(),
+                p,
+            };
+            let rows = cfg.m_prime;
+            let len = shape.required_input(rows);
+            let xc = rng.complex_vec(len);
+            let xr = rng.f64_vec(len, -1.0..1.0);
+            let xrc: Vec<Complex64> = xr.iter().map(|&v| Complex64::new(v, 0.0)).collect();
+            let one = |_: usize| DdComplex::from_f64(1.0, 0.0);
+            let reference = |x: &[Complex64]| -> Vec<Complex64> {
+                (0..rows * p)
+                    .map(|i| {
+                        let (j, s) = (i / p, i % p);
+                        let sum = compensated_lane(&coeffs, shape, &x[..len], j, s, &one);
+                        rounded(sum * dd(coeffs.phase(j % cfg.mu, s)))
+                    })
+                    .collect()
+            };
+            let (want_c, want_r) = (reference(&xc), reference(&xrc));
+            let check = |got: &[Complex64], want: &[Complex64], what: &str| {
+                let err = rel_l2_error(got, want);
+                assert!(err <= 5e-16, "N={n} P={p} {what}: rel-L2 {err:e}");
+            };
+            let mut out = vec![Complex64::ZERO; rows * p];
+            convolve(shape, &coeffs, &xc, &mut out);
+            check(&out, &want_c, "convolve");
+            convolve_portable(shape, &coeffs, &xc, &mut out);
+            check(&out, &want_c, "convolve_portable");
+            convolve_real(shape, &coeffs, &xr, &mut out);
+            check(&out, &want_r, "convolve_real");
+            convolve_real_portable(shape, &coeffs, &xr, &mut out);
+            check(&out, &want_r, "convolve_real_portable");
+
+            // The zoom over x (length N, read circularly): a segment and
+            // an unaligned band.
+            let x = &xc[..n];
+            for k0 in [cfg.m, cfg.m + 13] {
+                let zt = ZoomTaps::new(shape, &coeffs, n, k0);
+                let rho = |k: usize| DdComplex::root_of_unity(mul_mod(k0 % cfg.m, k % cfg.m, cfg.m), cfg.m);
+                let want: Vec<Complex64> = (0..rows)
+                    .map(|j| {
+                        let mut acc = DdComplex::from_f64(0.0, 0.0);
+                        for s in 0..p {
+                            let lam = dd(coeffs.phase(j % cfg.mu, s))
+                                * DdComplex::root_of_unity(mul_mod(k0, s, n), n);
+                            acc += compensated_lane(&coeffs, shape, x, j, s, &rho) * lam;
+                        }
+                        rounded(acc)
+                    })
+                    .collect();
+                let mut got = vec![Complex64::ZERO; rows];
+                zoom_pooled(&zt, x, &mut got, &ThreadPool::serial());
+                check(&got, &want, &format!("zoom_pooled k0={k0}"));
+                zoom_portable(&zt, x, &mut got);
+                check(&got, &want, &format!("zoom_portable k0={k0}"));
+            }
         }
     }
 

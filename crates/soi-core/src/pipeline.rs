@@ -594,10 +594,10 @@ mod tests {
             .map(|j| {
                 let r = j % cfg.mu;
                 let base = shape.k0(j) * cfg.p;
-                let taps = &soi.coefficients().coef[r * bp..(r + 1) * bp];
-                taps.iter()
-                    .zip(&xp[base..base + bp])
-                    .fold(Complex64::ZERO, |acc, (t, d)| t.mul_add(*d, acc))
+                let c = soi.coefficients();
+                (0..bp).fold(Complex64::ZERO, |acc, t| {
+                    c.coefficient(r, t / cfg.p, t % cfg.p).mul_add(xp[base + t], acc)
+                })
             })
             .collect();
         let mut scratch = vec![Complex64::ZERO; soi.plan_m().scratch_len()];
@@ -653,6 +653,32 @@ mod tests {
                     zoom_oracle(&soi, &xrc, k0),
                     format!("real band {k0}"),
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn real_zoom_is_bitwise_the_complex_zoom() {
+        // Real input fills the zoom's complex window with (x, 0)·ρ^K, the
+        // product its complex embedding gets, and both run one row
+        // kernel: every segment and band matches bit for bit.
+        let mut rng = soi_testkit::rng::TestRng::seed_from_u64(0x200B);
+        for (n, p) in [(1 << 12, 4), (1 << 14, 8), (10_000, 5)] {
+            let params = SoiParams::with_preset(n, p, AccuracyPreset::Digits10).unwrap();
+            let soi = SoiFft::new(&params).unwrap();
+            let cfg = *soi.config();
+            let bp = cfg.taps() * p;
+            let xr = rng.f64_vec(n, -1.0..1.0);
+            let xrc: Vec<Complex64> = xr.iter().map(|&v| Complex64::new(v, 0.0)).collect();
+            for s in 0..p {
+                let real = soi.transform_segment(&xr, s).unwrap();
+                let complex = soi.transform_segment(&xrc, s).unwrap();
+                assert_eq!(bits(&real), bits(&complex), "N={n} P={p} segment {s}");
+            }
+            for k0 in [0, 1, cfg.m - 1, cfg.m + 13, n - bp / 2, n - 1] {
+                let real = soi.transform_band(&xr, k0).unwrap();
+                let complex = soi.transform_band(&xrc, k0).unwrap();
+                assert_eq!(bits(&real), bits(&complex), "N={n} P={p} band {k0}");
             }
         }
     }

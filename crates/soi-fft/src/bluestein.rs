@@ -150,12 +150,6 @@ impl BluesteinFft {
         self.inv.execute_with_scratch(a, st);
         simd::weighted_product(data, &a[..self.n], &self.post_chirp);
     }
-
-    /// Out-of-place execute.
-    pub fn process(&self, src: &[Complex64], dst: &mut [Complex64]) {
-        dst.copy_from_slice(src);
-        self.execute(dst);
-    }
 }
 
 #[cfg(test)]

@@ -14,21 +14,6 @@ pub fn dft_naive(x: &[Complex64]) -> Vec<Complex64> {
     dft_naive_signed(x, Sign::Forward)
 }
 
-/// Naive unnormalized inverse DFT: `y_k = Σ_j x_j·exp(+2πi jk/N)`.
-pub fn idft_naive_unnormalized(x: &[Complex64]) -> Vec<Complex64> {
-    dft_naive_signed(x, Sign::Inverse)
-}
-
-/// Naive inverse DFT normalized by `1/N` (inverse of [`dft_naive`]).
-pub fn idft_naive(x: &[Complex64]) -> Vec<Complex64> {
-    let n = x.len();
-    let scale = 1.0 / n.max(1) as f64;
-    idft_naive_unnormalized(x)
-        .into_iter()
-        .map(|v| v.scale(scale))
-        .collect()
-}
-
 /// Naive DFT with an explicit direction.
 pub fn dft_naive_signed(x: &[Complex64], sign: Sign) -> Vec<Complex64> {
     let n = x.len();
@@ -99,16 +84,6 @@ mod tests {
                 assert!(v.abs() < 1e-12, "bin {k} = {v:?}");
             }
         }
-    }
-
-    #[test]
-    fn roundtrip_idft_dft() {
-        let x: Vec<Complex64> = (0..10)
-            .map(|i| c64((i as f64 * 1.7).sin(), (i as f64 * 0.3).cos()))
-            .collect();
-        let y = dft_naive(&x);
-        let back = idft_naive(&y);
-        assert!(soi_num::complex::max_abs_diff(&back, &x) < 1e-13);
     }
 
     #[test]

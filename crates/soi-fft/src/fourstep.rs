@@ -286,7 +286,7 @@ impl FourStepFft {
 
     /// The codelets the transform actually runs, with their dispatch.
     /// On the batched column path the `F_a` side executes through the
-    /// [`ColumnFft`] ladder's vector stage kernels, not `fa` — report
+    /// column ladder's vector stage kernels, not `fa` — report
     /// those radices (all AVX2+FMA by construction) so introspection
     /// matches the code that runs.
     pub fn codelet_dispatch(&self) -> Vec<(Codelet, Dispatch)> {

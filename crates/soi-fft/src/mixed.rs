@@ -187,8 +187,9 @@ impl MixedRadixFft {
     }
 
     /// The butterfly codelets this plan's levels dispatch to. Must mirror
-    /// the `match` in [`Self::rec`] (pinned by tests) — or, when the
-    /// smooth ladder took over execution, the ladder's stage radices.
+    /// the radix `match` of the recursive executor (pinned by tests) —
+    /// or, when the smooth ladder took over execution, the ladder's stage
+    /// radices.
     pub fn codelets(&self) -> Vec<Codelet> {
         if let Some(l) = &self.ladder {
             return l.codelets();
@@ -220,12 +221,6 @@ impl MixedRadixFft {
                 })
                 .collect(),
         )
-    }
-
-    /// Out-of-place execute: `dst` receives the DFT of `src`.
-    pub fn process(&self, src: &[Complex64], dst: &mut [Complex64]) {
-        let mut scratch = AlignedBuf::zeroed(self.scratch_len());
-        self.process_with_scratch(src, dst, &mut scratch);
     }
 
     /// Out-of-place execute reusing caller scratch (`scratch.len()` must
@@ -613,17 +608,6 @@ mod tests {
                 assert!(err < 1e-9 * n.max(4) as f64, "n={n} sign={sign:?} err={err}");
             }
         }
-    }
-
-    #[test]
-    fn out_of_place_process() {
-        let n = 40;
-        let x = test_signal(n);
-        let plan = MixedRadixFft::new(n, Sign::Forward);
-        let mut dst = vec![Complex64::ZERO; n];
-        plan.process(&x, &mut dst);
-        let want = dft_naive(&x);
-        assert!(max_abs_diff(&dst, &want) < 1e-10 * n as f64);
     }
 
     #[test]

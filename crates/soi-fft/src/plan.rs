@@ -388,12 +388,6 @@ impl Plan {
             }
         }
     }
-
-    /// Out-of-place execute.
-    pub fn process(&self, src: &[Complex64], dst: &mut [Complex64]) {
-        dst.copy_from_slice(src);
-        self.execute(dst);
-    }
 }
 
 /// Cumulative counters for one planner cache. A long-lived daemon polls

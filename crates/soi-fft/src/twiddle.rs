@@ -38,38 +38,6 @@ impl Sign {
     }
 }
 
-/// A dense table of the first `len` powers of `exp(∓2πi/n)`.
-#[derive(Debug, Clone)]
-pub struct TwiddleTable {
-    /// `w[k] = exp(∓2πi·k/n)` for `k < len`.
-    pub w: Vec<Complex64>,
-    /// The order `n` of the root.
-    pub n: usize,
-    /// Direction the table was built for.
-    pub sign: Sign,
-}
-
-impl TwiddleTable {
-    /// Build a table of `len` twiddles of order `n`.
-    pub fn new(n: usize, len: usize, sign: Sign) -> Self {
-        assert!(n > 0, "twiddle order must be positive");
-        let w = (0..len).map(|k| sign.root(k, n)).collect();
-        Self { w, n, sign }
-    }
-
-    /// `exp(∓2πi·k/n)` for arbitrary `k` (reduced modulo `n`, falling back
-    /// to direct evaluation if the reduced index is outside the table).
-    #[inline]
-    pub fn get(&self, k: usize) -> Complex64 {
-        let k = k % self.n;
-        if k < self.w.len() {
-            self.w[k]
-        } else {
-            self.sign.root(k, self.n)
-        }
-    }
-}
-
 /// Per-stage twiddles for the Stockham engines: stage `s` of a radix-`r`
 /// decimation-in-frequency pass over size `n` needs `ω_n^{p·c}` for
 /// `p < n/r`, `c < r`.
@@ -102,37 +70,6 @@ impl StageTwiddles {
 mod tests {
     use super::*;
     use soi_num::Complex64;
-
-    #[test]
-    fn forward_table_matches_direct_roots() {
-        let t = TwiddleTable::new(16, 16, Sign::Forward);
-        for k in 0..16 {
-            let want = Complex64::root_of_unity(k, 16);
-            assert!((t.get(k) - want).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn inverse_is_conjugate_of_forward() {
-        let f = TwiddleTable::new(12, 12, Sign::Forward);
-        let i = TwiddleTable::new(12, 12, Sign::Inverse);
-        for k in 0..12 {
-            assert!((f.get(k).conj() - i.get(k)).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn get_reduces_modulo_n() {
-        let t = TwiddleTable::new(8, 8, Sign::Forward);
-        assert!((t.get(3) - t.get(3 + 8 * 5)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn get_beyond_table_length_falls_back() {
-        let t = TwiddleTable::new(64, 4, Sign::Forward);
-        let want = Complex64::root_of_unity(17, 64);
-        assert!((t.get(17) - want).abs() < 1e-15);
-    }
 
     #[test]
     fn stage_twiddles_layout() {

@@ -554,8 +554,8 @@ impl RankComm {
 
     /// Fallible max-allreduce of one f64. Seeded with `-inf`, not
     /// `f64::MIN`: a finite seed would silently become the answer when
-    /// every rank contributes `-inf` — the same bug class
-    /// [`Self::try_sync_clocks`] guards against, and the wire transport
+    /// every rank contributes `-inf` — the same bug class the clock
+    /// synchronization guards against, and the wire transport
     /// folds identically so the transports agree bitwise.
     pub fn try_allreduce_max(&mut self, v: f64) -> Result<f64, SimCommError> {
         Ok(self

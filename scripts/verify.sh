@@ -70,8 +70,8 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace (every crate)"
 cargo test -q --offline --workspace
 
-echo "==> rustdoc link check: no doc link may point at a deleted item"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+echo "==> rustdoc link check: no doc link may point at a deleted or private item"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc --no-deps --workspace --lib --offline
 
 echo "==> clippy: deny-by-default lints (warnings are reported, not fatal)"
